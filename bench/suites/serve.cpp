@@ -6,6 +6,7 @@
 // request loop on the same model and inputs.
 #include <chrono>
 #include <cstdio>
+#include <thread>
 
 #include "bench/suites/common.hpp"
 #include "src/compile/compiler.hpp"
@@ -13,6 +14,7 @@
 #include "src/serialize/serialize.hpp"
 #include "src/serve/model_registry.hpp"
 #include "src/serve/model_server.hpp"
+#include "src/stats/summary.hpp"
 
 namespace micronas {
 namespace {
@@ -243,6 +245,54 @@ BENCH_CASE_OPTS(serve, batched_one_invocation,
   state.counter("batch_speedup", fanout_ms / batched_ms);
   state.counter("mean_batch", batched.stats().mean_batch);
   state.set_items_processed(requests);
+}
+
+// Batch-1 thread scaling on the serve-heavy model shape (the golden
+// arch at 32x32 input, 2 cells per stage, weight seed 7, executor at
+// batch capacity max_batch as a server lane builds it): one request
+// through BatchedExecutor::run_batch at threads=1 and at threads=4,
+// interleaved run by run so both see the same ambient noise.
+// b1_speedup_4t = median 1-thread ms / median 4-thread ms is the
+// machine-independent ratio; it only means something next to
+// hardware_threads (a 1-core host cannot exceed ~1). Wall time of the
+// case tracks one 4-thread request.
+BENCH_CASE_OPTS(serve, batch1_scaling,
+                bench::CaseOptions{.warmup = 1, .min_reps = 5, .max_reps = 10, .tier = 1}) {
+  compile::CompilerOptions options;
+  options.macro.cells_per_stage = state.param_int("cells", 2);
+  options.macro.input_size = state.param_int("input", 32);
+  options.seed = 7;
+  const int max_batch = state.param_int("max_batch", 8);
+  const int runs = state.param_int("runs", 40);
+
+  const compile::CompiledModel model = compile::compile_genotype(
+      nb201::Genotype::from_string("|nor_conv_3x3~0|+|none~0|skip_connect~1|+"
+                                   "|avg_pool_3x3~0|nor_conv_1x1~1|nor_conv_3x3~2|"),
+      options);
+  const Tensor input = serve_inputs(1, options.macro.input_size).front();
+  rt::BatchedExecutor one(model.graph, model.plan_for_batch(max_batch), max_batch,
+                          rt::ExecOptions{1, &model.packed});
+  rt::BatchedExecutor four(model.graph, model.plan_for_batch(max_batch), max_batch,
+                           rt::ExecOptions{4, &model.packed});
+  one.run(input);  // warm
+  four.run(input);
+
+  std::vector<double> ms_1t;
+  std::vector<double> ms_4t;
+  for (int i = 0; i < runs; ++i) {
+    ms_1t.push_back(min_ms_of(1, [&] { bench::do_not_optimize(one.run(input).numel()); }));
+    ms_4t.push_back(min_ms_of(1, [&] { bench::do_not_optimize(four.run(input).numel()); }));
+  }
+  for (auto _ : state) {
+    bench::do_not_optimize(four.run(input).numel());
+  }
+  const double b1_1t = stats::percentile(ms_1t, 50.0);
+  const double b1_4t = stats::percentile(ms_4t, 50.0);
+  state.counter("b1_ms_1t", b1_1t);
+  state.counter("b1_ms_4t", b1_4t);
+  state.counter("b1_speedup_4t", b1_1t / b1_4t);
+  state.counter("hardware_threads", std::thread::hardware_concurrency());
+  state.set_items_processed(1);
 }
 
 // Overload behavior: a burst far past the bounded queue against a

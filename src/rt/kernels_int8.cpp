@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "src/hw/quant.hpp"
 
@@ -141,6 +142,64 @@ void qadd(const std::int8_t* a, const std::int8_t* b, std::int8_t* out, std::siz
 void qavg_pool(const std::int8_t* input, std::int8_t* output, int batch, int channels, int h,
                int w, int kernel, int stride, int pad, int out_h, int out_w, int in_zp,
                std::int32_t mantissa, int shift, int out_zp) {
+  if (out_h <= 0 || out_w <= 0) return;
+  // The padded plane covers exactly the cells some window reads: rows
+  // [0, rows) and columns [0, cols) of the pad-shifted input. Cells
+  // outside the input hold (q - zp) == 0 — what the reference skips —
+  // so every window sums the reference's terms plus zeros, and integer
+  // sums are exact. Windows are summed separably: a horizontal pass of
+  // `kernel` taps per row, then a vertical pass over `kernel` row sums,
+  // all without bounds checks.
+  const int rows = (out_h - 1) * stride + kernel;
+  const int cols = (out_w - 1) * stride + kernel;
+  const int copy_h = std::clamp(rows - pad, 0, h);
+  const int copy_w = std::clamp(cols - pad, 0, w);
+  std::vector<std::int16_t> padded(static_cast<std::size_t>(rows) * cols, 0);
+  std::vector<std::int32_t> row_sums(static_cast<std::size_t>(rows) * out_w);
+  std::vector<std::int32_t> acc(static_cast<std::size_t>(out_w));
+  for (int n = 0; n < batch; ++n) {
+    for (int c = 0; c < channels; ++c) {
+      const std::int8_t* plane =
+          input + (static_cast<std::ptrdiff_t>(n) * channels + c) * h * w;
+      std::int8_t* oplane =
+          output + (static_cast<std::ptrdiff_t>(n) * channels + c) * out_h * out_w;
+      for (int y = 0; y < copy_h; ++y) {
+        const std::int8_t* src = plane + static_cast<std::ptrdiff_t>(y) * w;
+        std::int16_t* dst = padded.data() + static_cast<std::ptrdiff_t>(y + pad) * cols + pad;
+        for (int x = 0; x < copy_w; ++x) {
+          dst[x] = static_cast<std::int16_t>(static_cast<std::int32_t>(src[x]) - in_zp);
+        }
+      }
+      for (int r = 0; r < rows; ++r) {
+        const std::int16_t* prow = padded.data() + static_cast<std::ptrdiff_t>(r) * cols;
+        std::int32_t* srow = row_sums.data() + static_cast<std::ptrdiff_t>(r) * out_w;
+        for (int ox = 0; ox < out_w; ++ox) srow[ox] = 0;
+        for (int kx = 0; kx < kernel; ++kx) {
+          for (int ox = 0; ox < out_w; ++ox) srow[ox] += prow[ox * stride + kx];
+        }
+      }
+      std::int32_t* sums = acc.data();
+      for (int oy = 0; oy < out_h; ++oy) {
+        for (int ox = 0; ox < out_w; ++ox) sums[ox] = 0;
+        for (int ky = 0; ky < kernel; ++ky) {
+          const std::int32_t* srow =
+              row_sums.data() + static_cast<std::ptrdiff_t>(oy * stride + ky) * out_w;
+          for (int ox = 0; ox < out_w; ++ox) sums[ox] += srow[ox];
+        }
+        std::int8_t* orow = oplane + static_cast<std::ptrdiff_t>(oy) * out_w;
+        for (int ox = 0; ox < out_w; ++ox) {
+          const std::int32_t q =
+              multiply_by_quantized_multiplier(sums[ox], mantissa, shift) + out_zp;
+          orow[ox] = clamp_i8(q, kInt8Min);
+        }
+      }
+    }
+  }
+}
+
+void qavg_pool_reference(const std::int8_t* input, std::int8_t* output, int batch, int channels,
+                         int h, int w, int kernel, int stride, int pad, int out_h, int out_w,
+                         int in_zp, std::int32_t mantissa, int shift, int out_zp) {
   for (int n = 0; n < batch; ++n) {
     for (int c = 0; c < channels; ++c) {
       const std::int8_t* plane =

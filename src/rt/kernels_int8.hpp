@@ -5,9 +5,9 @@
 // multiplier — so outputs are bit-identical across runs, thread counts
 // and hosts. Convolution goes through im2col + an int8 GEMM whose inner
 // dot product is contiguous in both operands (the CMSIS-NN shape), and
-// is partitioned over output channels when a thread pool is provided;
-// channels are fully independent, so the partition cannot change the
-// result.
+// is partitioned over (sample, output channel) when a thread pool is
+// provided; channels are fully independent, so the partition cannot
+// change the result.
 //
 // Batching widens the GEMM M dimension instead of looping the kernel:
 // qconv2d im2cols every sample into one column matrix of batch * Ho*Wo
@@ -118,10 +118,17 @@ void qadd(const std::int8_t* a, const std::int8_t* b, std::int8_t* out, std::siz
           int zp_out);
 
 /// Average pooling, count_include_pad: divisor k*k, padded cells
-/// contribute q == zp_in and drop out of the shifted sum.
+/// contribute q == zp_in and drop out of the shifted sum. Branch-free
+/// separable window sums over a zero-padded (q - zp) plane.
 void qavg_pool(const std::int8_t* input, std::int8_t* output, int batch, int channels, int h,
                int w, int kernel, int stride, int pad, int out_h, int out_w, int in_zp,
                std::int32_t mantissa, int shift, int out_zp);
+
+/// The bounds-checked per-window loop qavg_pool must match bit for bit
+/// (the reference its property test compares against).
+void qavg_pool_reference(const std::int8_t* input, std::int8_t* output, int batch, int channels,
+                         int h, int w, int kernel, int stride, int pad, int out_h, int out_w,
+                         int in_zp, std::int32_t mantissa, int shift, int out_zp);
 
 /// Global average pooling [N,C,H,W] -> [N,C].
 void qglobal_avg_pool(const std::int8_t* input, std::int8_t* output, int batch, int channels,

@@ -159,19 +159,19 @@ void im2col16(const std::int16_t* image, std::int16_t* columns, int cin, int hp,
 /// K runs ascending, the scalar reference's (ci, ky, kx) order, and
 /// int32 accumulation is exact, so any vector re-association still
 /// produces the identical sum. A column's operand stays L1-hot across
-/// the whole channel loop. Output element (c, j) lands at
+/// the channel range [c_begin, c_end). Output element (c, j) lands at
 /// out[c * cstride + j * jstride] — the two strides are what let one
 /// core serve both qconv (cstride = npix, jstride = 1; columns are
 /// output pixels) and qlinear (cstride = 1, jstride = out_features;
 /// columns are batch samples).
 MICRONAS_SIMD_CLONES
-void qdot16_block(const std::int16_t* w16, const std::int16_t* columns, int patchp, int cout,
+void qdot16_block(const std::int16_t* w16, const std::int16_t* columns, int patchp,
                   const Requant& rq, std::int8_t* out, std::ptrdiff_t cstride,
-                  std::ptrdiff_t jstride, int col_begin, int col_end) {
+                  std::ptrdiff_t jstride, int c_begin, int c_end, int col_begin, int col_end) {
   for (int j = col_begin; j < col_end; ++j) {
     const std::int16_t* aj = columns + static_cast<std::ptrdiff_t>(j) * patchp;
     std::int8_t* oj = out + static_cast<std::ptrdiff_t>(j) * jstride;
-    for (int c = 0; c < cout; ++c) {
+    for (int c = c_begin; c < c_end; ++c) {
       const std::int16_t* wc = w16 + static_cast<std::ptrdiff_t>(c) * patchp;
       std::int32_t acc = 0;
       for (int k = 0; k < patchp; ++k) {
@@ -182,12 +182,35 @@ void qdot16_block(const std::int16_t* w16, const std::int16_t* columns, int patc
   }
 }
 
-/// im2col + dot16 GEMM. Two parallel phases over the shared scratch in
+/// Output pixels per tile of the conv GEMM grid: 64 int8 outputs of one
+/// channel row fill one 64-byte cache line, so no two cells of the grid
+/// write the same line when npix is a multiple of the tile (every NB201
+/// plane at a power-of-two input).
+constexpr int kPixTile = 64;
+
+/// Fewest output channels a GEMM grid cell holds: below this a cell's
+/// weight rows no longer amortize its sweep over the tile's columns.
+constexpr int kMinChannelBlock = 8;
+
+/// Conv work (batch * npix * cout * patch MACs) below which a pool
+/// dispatch costs more than it saves: the conv runs on the caller.
+constexpr long long kMinParallelMacs = 1LL << 16;
+
+ThreadPool* conv_pool(const QConv2dArgs& a, ThreadPool* pool) {
+  const long long macs = static_cast<long long>(a.batch) * a.out_h * a.out_w * a.cout * a.cin *
+                         a.kernel * a.kernel;
+  return macs >= kMinParallelMacs ? pool : nullptr;
+}
+
+/// im2col + dot16 GEMM in three phases over the shared scratch in
 /// args.columns (sized by the executor via qconv_gemm_scratch_bytes):
-/// first every input plane is widened into its padded int16 image,
-/// then each worker builds and immediately consumes its own range of
-/// operand columns while they are cache-hot. Both phases partition
-/// disjoint output ranges, so the schedule cannot affect results.
+/// widen every input plane into its padded int16 image (sample x input
+/// channel), build the operand columns (sample x pixel tile), then the
+/// GEMM over the (sample x pixel tile x channel block) grid. Channel
+/// blocks are only as fine as it takes to give every lane two cells, so
+/// a batch-1 8x8 plane still spreads over the pool while a batch of 8
+/// keeps whole channel rows per cell. Every phase partitions disjoint
+/// output ranges, so the schedule cannot affect results.
 void qconv2d_gemm(const QConv2dArgs& a, const PackedWeights& pw, ThreadPool* pool) {
   const int hp = a.h + 2 * a.pad;
   const int wp = a.w + 2 * a.pad;
@@ -197,6 +220,7 @@ void qconv2d_gemm(const QConv2dArgs& a, const PackedWeights& pw, ThreadPool* poo
   const std::size_t column_elems = static_cast<std::size_t>(npix) * patchp;
   std::int16_t* image0 = reinterpret_cast<std::int16_t*>(a.columns);
   std::int16_t* columns0 = image0 + static_cast<std::size_t>(a.batch) * image_elems;
+  pool = conv_pool(a, pool);
 
   for_sample_units(a.batch, a.cin, pool, [&](int n, int ci_begin, int ci_end) {
     const std::int8_t* in = a.input + (static_cast<std::ptrdiff_t>(n) * a.cin + ci_begin) *
@@ -210,15 +234,31 @@ void qconv2d_gemm(const QConv2dArgs& a, const PackedWeights& pw, ThreadPool* poo
     }
   });
 
+  const int tiles = (npix + kPixTile - 1) / kPixTile;
+  for_sample_units(a.batch, tiles, pool, [&](int n, int t_begin, int t_end) {
+    im2col16(image0 + n * image_elems, columns0 + n * column_elems, a.cin, hp, wp, a.kernel,
+             a.stride, a.out_w, patchp, t_begin * kPixTile, std::min(npix, t_end * kPixTile));
+  });
+
+  const long long cells_wanted = pool ? 2LL * pool->size() : 1;
+  const long long row_cells = static_cast<long long>(a.batch) * tiles;
+  const int max_cblocks = std::max(1, a.cout / kMinChannelBlock);
+  const int want_cblocks = static_cast<int>(
+      std::min<long long>(max_cblocks, (cells_wanted + row_cells - 1) / row_cells));
+  const int cblock = (a.cout + want_cblocks - 1) / want_cblocks;
+  const int cblocks = (a.cout + cblock - 1) / cblock;
+
   const Requant rq = conv_requant(a);
-  for_sample_units(a.batch, npix, pool, [&](int n, int col_begin, int col_end) {
-    const std::int16_t* image = image0 + n * image_elems;
-    std::int16_t* columns = columns0 + n * column_elems;
+  for_sample_units(a.batch, tiles * cblocks, pool, [&](int n, int u_begin, int u_end) {
+    const std::int16_t* columns = columns0 + n * column_elems;
     std::int8_t* out = a.output + static_cast<std::ptrdiff_t>(n) * a.cout * npix;
-    im2col16(image, columns, a.cin, hp, wp, a.kernel, a.stride, a.out_w, patchp, col_begin,
-             col_end);
-    qdot16_block(pw.data.data(), columns, patchp, a.cout, rq, out, /*cstride=*/npix,
-                 /*jstride=*/1, col_begin, col_end);
+    for (int u = u_begin; u < u_end; ++u) {
+      const int t = u / cblocks;
+      const int c0 = (u % cblocks) * cblock;
+      qdot16_block(pw.data.data(), columns, patchp, rq, out, /*cstride=*/npix, /*jstride=*/1,
+                   c0, std::min(a.cout, c0 + cblock), t * kPixTile,
+                   std::min(npix, (t + 1) * kPixTile));
+    }
   });
 }
 
@@ -260,7 +300,7 @@ void direct_conv_rows(const QConv2dArgs& a, const Requant& rq, int npix, const s
 void qconv2d_direct(const QConv2dArgs& a, ThreadPool* pool) {
   const int npix = a.h * a.w;  // out_h == h, out_w == w by selection
   const Requant rq = conv_requant(a);
-  for_sample_units(a.batch, a.cout, pool, [&](int n, int c_begin, int c_end) {
+  for_sample_units(a.batch, a.cout, conv_pool(a, pool), [&](int n, int c_begin, int c_end) {
     const std::int8_t* in = a.input + static_cast<std::ptrdiff_t>(n) * a.cin * npix;
     std::int8_t* out = a.output + static_cast<std::ptrdiff_t>(n) * a.cout * npix;
     direct_conv_rows(a, rq, npix, in, out, c_begin, c_end);
@@ -284,8 +324,8 @@ void qlinear_gemm(const QLinearArgs& a, const PackedWeights& pw, ThreadPool* poo
   const Requant rq{a.bias, a.weight_sum, a.mantissa, a.shift,
                    a.in_zp, a.out_zp,    kInt8Min};
   for_sample_units(a.batch, 1, pool, [&](int n, int, int) {
-    qdot16_block(pw.data.data(), columns.data(), patchp, a.out_features, rq, a.output,
-                 /*cstride=*/1, /*jstride=*/a.out_features, n, n + 1);
+    qdot16_block(pw.data.data(), columns.data(), patchp, rq, a.output, /*cstride=*/1,
+                 /*jstride=*/a.out_features, 0, a.out_features, n, n + 1);
   });
 }
 

@@ -32,9 +32,10 @@
 //     (built by contiguous run copies off a zero-point-padded int16
 //     image — no per-element bounds checks), then one exact int32 dot
 //     product per (output channel, column) whose reduction loop the
-//     autovectorizer turns into vpmaddwd chains. A column's operand
-//     (padded-patch int16s) stays L1-hot across the whole channel
-//     loop.
+//     autovectorizer turns into vpmaddwd chains. The pool splits it
+//     over a (sample x 64-pixel tile x channel block) grid whose cells
+//     write whole cache lines of the output, and a column's operand
+//     (padded-patch int16s) stays L1-hot across its cell's channels.
 //
 //   * Kernel-selection table (`select_qconv_kernel`): per-shape choice
 //     between the im2col GEMM (spatial convs), a direct convolution

@@ -637,20 +637,16 @@ const std::byte* BatchedExecutor::read_buffer(int node_id) const {
   return arena_.data() + b->offset;
 }
 
-void BatchedExecutor::each_sample(int n, std::size_t sample_bytes,
-                                  const std::function<void(int)>& fn) {
-  // A pool dispatch costs on the order of a context switch; for a
-  // memory-bound broadcast op that only pays off once a sample touches
-  // tens of KB (kMinParallelSampleBytes, compared against
-  // sample_io_bytes so every op is measured in the same unit). Below
-  // that the serial loop is strictly faster, and the results are
-  // identical either way (samples are independent).
-  if (pool_ && pool_->size() > 1 && n > 1 && sample_bytes >= kMinParallelSampleBytes) {
-    pool_->parallel_for(static_cast<std::size_t>(n),
-                        [&fn](std::size_t i) { fn(static_cast<int>(i)); });
-  } else {
-    for (int i = 0; i < n; ++i) fn(i);
-  }
+ThreadPool* BatchedExecutor::split_pool(const ir::Node& node, int n) const {
+  // A dispatch into a spinning pool costs a few µs, which only pays off
+  // once the op touches kMinParallelBytes in total (all samples, in
+  // sample_io_bytes' real-byte unit); below that the caller runs it
+  // alone. Samples, channels and element chunks are all independent,
+  // so the split cannot change results.
+  if (!pool_) return nullptr;
+  const std::size_t per_sample = sample_io_bytes(graph_, node);
+  if (per_sample == kHeavySample) return pool_.get();
+  return per_sample * static_cast<std::size_t>(n) >= kMinParallelBytes ? pool_.get() : nullptr;
 }
 
 std::vector<Tensor> BatchedExecutor::run_batch(std::span<const Tensor* const> inputs) {
@@ -716,9 +712,7 @@ Tensor BatchedExecutor::run(const Tensor& input) {
 void BatchedExecutor::dispatch(const ir::Node& node, int n) {
   const auto& shape = node.type.shape;
   const std::size_t per_out = shape.numel();  // per-sample elements: graph batch is 1
-  // Every each_sample site gates on the same unit: actual bytes
-  // touched per sample (sample_io_bytes), never raw element counts.
-  const std::size_t io_bytes = sample_io_bytes(graph_, node);
+  ThreadPool* const pool = split_pool(node, n);
   const auto in_shape = [&](std::size_t i) -> const Shape& {
     return graph_.node(node.inputs[i]).type.shape;
   };
@@ -734,80 +728,96 @@ void BatchedExecutor::dispatch(const ir::Node& node, int n) {
     const std::int8_t* p = reinterpret_cast<const std::int8_t*>(read_buffer(id));
     return nd.is_const() ? p : p + static_cast<std::ptrdiff_t>(s) * nd.type.shape.numel();
   };
+  // Elementwise ops split over (sample x element chunk): fn(s, lo, hi)
+  // covers elements [lo, hi) of sample s.
+  const auto each_chunk = [&](const auto& fn) {
+    const int chunks = static_cast<int>((per_out + kElementChunk - 1) / kElementChunk);
+    for_sample_units(n, chunks, pool, [&](int s, int c_begin, int c_end) {
+      fn(s, static_cast<std::size_t>(c_begin) * kElementChunk,
+         std::min(per_out, static_cast<std::size_t>(c_end) * kElementChunk));
+    });
+  };
 
   switch (node.op) {
     case ir::OpKind::kConv2d: {
+      // One call over all n samples; conv2d_f32 splits each sample's
+      // output channels over the pool, exactly as Executor's call does.
       const Shape& x = in_shape(0);
-      float* out = reinterpret_cast<float*>(buffer(node.id));
-      each_sample(n, io_bytes, [&](int s) {
-        const float* bias = node.inputs.size() == 3 ? f32_s(node.inputs[2], s) : nullptr;
-        conv2d_f32(f32_s(node.inputs[0], s), f32_s(node.inputs[1], s), bias,
-                   out + static_cast<std::ptrdiff_t>(s) * per_out, 1, x[1], x[2], x[3], shape[1],
-                   node.conv.kernel, node.conv.stride, node.conv.pad, shape[2], shape[3],
-                   node.conv.fused_relu, nullptr);
-      });
+      const float* bias = node.inputs.size() == 3 ? f32_s(node.inputs[2], 0) : nullptr;
+      conv2d_f32(f32_s(node.inputs[0], 0), f32_s(node.inputs[1], 0), bias,
+                 reinterpret_cast<float*>(buffer(node.id)), n, x[1], x[2], x[3], shape[1],
+                 node.conv.kernel, node.conv.stride, node.conv.pad, shape[2], shape[3],
+                 node.conv.fused_relu, pool);
       return;
     }
     case ir::OpKind::kBatchNorm: {
       const Shape& x = in_shape(0);
+      const std::ptrdiff_t hw = static_cast<std::ptrdiff_t>(x[2]) * x[3];
       float* out = reinterpret_cast<float*>(buffer(node.id));
-      each_sample(n, io_bytes, [&](int s) {
-        batch_norm_f32(f32_s(node.inputs[0], s), f32_s(node.inputs[1], s),
-                       f32_s(node.inputs[2], s), f32_s(node.inputs[3], s),
-                       f32_s(node.inputs[4], s), out + static_cast<std::ptrdiff_t>(s) * per_out,
-                       1, x[1], x[2] * x[3], node.conv.bn_eps);
+      for_sample_units(n, x[1], pool, [&](int s, int c0, int c1) {
+        batch_norm_f32(f32_s(node.inputs[0], s) + c0 * hw, f32_s(node.inputs[1], s) + c0,
+                       f32_s(node.inputs[2], s) + c0, f32_s(node.inputs[3], s) + c0,
+                       f32_s(node.inputs[4], s) + c0,
+                       out + static_cast<std::ptrdiff_t>(s) * per_out + c0 * hw, 1, c1 - c0,
+                       static_cast<int>(hw), node.conv.bn_eps);
       });
       return;
     }
     case ir::OpKind::kChannelAffine: {
       const Shape& x = in_shape(0);
+      const std::ptrdiff_t hw = static_cast<std::ptrdiff_t>(x[2]) * x[3];
       float* out = reinterpret_cast<float*>(buffer(node.id));
-      each_sample(n, io_bytes, [&](int s) {
-        channel_affine_f32(f32_s(node.inputs[0], s), f32_s(node.inputs[1], s),
-                           f32_s(node.inputs[2], s),
-                           out + static_cast<std::ptrdiff_t>(s) * per_out, 1, x[1], x[2] * x[3]);
+      for_sample_units(n, x[1], pool, [&](int s, int c0, int c1) {
+        channel_affine_f32(f32_s(node.inputs[0], s) + c0 * hw, f32_s(node.inputs[1], s) + c0,
+                           f32_s(node.inputs[2], s) + c0,
+                           out + static_cast<std::ptrdiff_t>(s) * per_out + c0 * hw, 1, c1 - c0,
+                           static_cast<int>(hw));
       });
       return;
     }
     case ir::OpKind::kRelu: {
       float* out = reinterpret_cast<float*>(buffer(node.id));
-      each_sample(n, io_bytes, [&](int s) {
-        relu_f32(f32_s(node.inputs[0], s), out + static_cast<std::ptrdiff_t>(s) * per_out,
-                 per_out);
+      each_chunk([&](int s, std::size_t lo, std::size_t hi) {
+        relu_f32(f32_s(node.inputs[0], s) + lo, out + s * per_out + lo, hi - lo);
       });
       return;
     }
     case ir::OpKind::kAvgPool: {
       const Shape& x = in_shape(0);
+      const std::ptrdiff_t in_hw = static_cast<std::ptrdiff_t>(x[2]) * x[3];
+      const std::ptrdiff_t out_hw = static_cast<std::ptrdiff_t>(shape[2]) * shape[3];
       float* out = reinterpret_cast<float*>(buffer(node.id));
-      each_sample(n, io_bytes, [&](int s) {
-        avg_pool_f32(f32_s(node.inputs[0], s), out + static_cast<std::ptrdiff_t>(s) * per_out, 1,
-                     x[1], x[2], x[3], node.conv.kernel, node.conv.stride, node.conv.pad,
-                     shape[2], shape[3]);
+      for_sample_units(n, x[1], pool, [&](int s, int c0, int c1) {
+        avg_pool_f32(f32_s(node.inputs[0], s) + c0 * in_hw,
+                     out + static_cast<std::ptrdiff_t>(s) * per_out + c0 * out_hw, 1, c1 - c0,
+                     x[2], x[3], node.conv.kernel, node.conv.stride, node.conv.pad, shape[2],
+                     shape[3]);
       });
       return;
     }
     case ir::OpKind::kAdd: {
       float* out = reinterpret_cast<float*>(buffer(node.id));
-      each_sample(n, io_bytes, [&](int s) {
-        add_f32(f32_s(node.inputs[0], s), f32_s(node.inputs[1], s),
-                out + static_cast<std::ptrdiff_t>(s) * per_out, per_out);
+      each_chunk([&](int s, std::size_t lo, std::size_t hi) {
+        add_f32(f32_s(node.inputs[0], s) + lo, f32_s(node.inputs[1], s) + lo,
+                out + s * per_out + lo, hi - lo);
       });
       return;
     }
     case ir::OpKind::kGlobalAvgPool: {
       const Shape& x = in_shape(0);
+      const std::ptrdiff_t hw = static_cast<std::ptrdiff_t>(x[2]) * x[3];
       float* out = reinterpret_cast<float*>(buffer(node.id));
-      each_sample(n, io_bytes, [&](int s) {
-        global_avg_pool_f32(f32_s(node.inputs[0], s),
-                            out + static_cast<std::ptrdiff_t>(s) * per_out, 1, x[1], x[2] * x[3]);
+      for_sample_units(n, x[1], pool, [&](int s, int c0, int c1) {
+        global_avg_pool_f32(f32_s(node.inputs[0], s) + c0 * hw,
+                            out + static_cast<std::ptrdiff_t>(s) * per_out + c0, 1, c1 - c0,
+                            static_cast<int>(hw));
       });
       return;
     }
     case ir::OpKind::kLinear: {
       const Shape& x = in_shape(0);
       float* out = reinterpret_cast<float*>(buffer(node.id));
-      each_sample(n, io_bytes, [&](int s) {
+      for_sample_units(n, 1, pool, [&](int s, int, int) {
         const float* bias = node.inputs.size() == 3 ? f32_s(node.inputs[2], s) : nullptr;
         linear_f32(f32_s(node.inputs[0], s), f32_s(node.inputs[1], s), bias,
                    out + static_cast<std::ptrdiff_t>(s) * per_out, 1, x[1], shape[1]);
@@ -816,17 +826,16 @@ void BatchedExecutor::dispatch(const ir::Node& node, int n) {
     }
     case ir::OpKind::kQuantize: {
       std::int8_t* out = reinterpret_cast<std::int8_t*>(buffer(node.id));
-      each_sample(n, io_bytes, [&](int s) {
-        quantize_buffer(f32_s(node.inputs[0], s), out + static_cast<std::ptrdiff_t>(s) * per_out,
-                        per_out, node.quant.out_q.scale, node.quant.out_q.zero_point);
+      each_chunk([&](int s, std::size_t lo, std::size_t hi) {
+        quantize_buffer(f32_s(node.inputs[0], s) + lo, out + s * per_out + lo, hi - lo,
+                        node.quant.out_q.scale, node.quant.out_q.zero_point);
       });
       return;
     }
     case ir::OpKind::kDequantize: {
       float* out = reinterpret_cast<float*>(buffer(node.id));
-      each_sample(n, io_bytes, [&](int s) {
-        dequantize_buffer(i8_s(node.inputs[0], s),
-                          out + static_cast<std::ptrdiff_t>(s) * per_out, per_out,
+      each_chunk([&](int s, std::size_t lo, std::size_t hi) {
+        dequantize_buffer(i8_s(node.inputs[0], s) + lo, out + s * per_out + lo, hi - lo,
                           node.quant.in_q.scale, node.quant.in_q.zero_point);
       });
       return;
@@ -849,8 +858,8 @@ void BatchedExecutor::dispatch(const ir::Node& node, int n) {
         }
         return;
       }
-      // The widened-M path: n samples, ONE im2col GEMM invocation with
-      // M = n * out_h * out_w, partitioned over output channels.
+      // The widened-M path: n samples, ONE conv invocation whose kernel
+      // partitions the (sample x pixel tile x channel block) grid.
       QConv2dArgs a;
       a.batch = n;
       a.cin = x[1];
@@ -888,10 +897,13 @@ void BatchedExecutor::dispatch(const ir::Node& node, int n) {
         }
         return;
       }
+      const std::ptrdiff_t in_hw = static_cast<std::ptrdiff_t>(x[2]) * x[3];
+      const std::ptrdiff_t out_hw = static_cast<std::ptrdiff_t>(shape[2]) * shape[3];
       std::int8_t* out = reinterpret_cast<std::int8_t*>(buffer(node.id));
-      each_sample(n, io_bytes, [&](int s) {
-        qavg_pool(i8_s(node.inputs[0], s), out + static_cast<std::ptrdiff_t>(s) * per_out, 1,
-                  x[1], x[2], x[3], node.conv.kernel, node.conv.stride, node.conv.pad, shape[2],
+      for_sample_units(n, x[1], pool, [&](int s, int c0, int c1) {
+        qavg_pool(i8_s(node.inputs[0], s) + c0 * in_hw,
+                  out + static_cast<std::ptrdiff_t>(s) * per_out + c0 * out_hw, 1, c1 - c0,
+                  x[2], x[3], node.conv.kernel, node.conv.stride, node.conv.pad, shape[2],
                   shape[3], node.quant.in_q.zero_point, node.quant.mantissa[0],
                   node.quant.shift[0], node.quant.out_q.zero_point);
       });
@@ -899,10 +911,9 @@ void BatchedExecutor::dispatch(const ir::Node& node, int n) {
     }
     case ir::OpKind::kQAdd: {
       std::int8_t* out = reinterpret_cast<std::int8_t*>(buffer(node.id));
-      each_sample(n, io_bytes, [&](int s) {
-        qadd(i8_s(node.inputs[0], s), i8_s(node.inputs[1], s),
-             out + static_cast<std::ptrdiff_t>(s) * per_out, per_out,
-             node.quant.in_q.zero_point, node.quant.mantissa[0], node.quant.shift[0],
+      each_chunk([&](int s, std::size_t lo, std::size_t hi) {
+        qadd(i8_s(node.inputs[0], s) + lo, i8_s(node.inputs[1], s) + lo, out + s * per_out + lo,
+             hi - lo, node.quant.in_q.zero_point, node.quant.mantissa[0], node.quant.shift[0],
              node.quant.in2_q.zero_point, node.quant.mantissa2, node.quant.shift2,
              node.quant.out_q.zero_point);
       });
@@ -910,12 +921,13 @@ void BatchedExecutor::dispatch(const ir::Node& node, int n) {
     }
     case ir::OpKind::kQGlobalAvgPool: {
       const Shape& x = in_shape(0);
+      const std::ptrdiff_t hw = static_cast<std::ptrdiff_t>(x[2]) * x[3];
       std::int8_t* out = reinterpret_cast<std::int8_t*>(buffer(node.id));
-      each_sample(n, io_bytes, [&](int s) {
-        qglobal_avg_pool(i8_s(node.inputs[0], s), out + static_cast<std::ptrdiff_t>(s) * per_out,
-                         1, x[1], x[2], x[3], node.quant.in_q.zero_point,
-                         node.quant.mantissa[0], node.quant.shift[0],
-                         node.quant.out_q.zero_point);
+      for_sample_units(n, x[1], pool, [&](int s, int c0, int c1) {
+        qglobal_avg_pool(i8_s(node.inputs[0], s) + c0 * hw,
+                         out + static_cast<std::ptrdiff_t>(s) * per_out + c0, 1, c1 - c0, x[2],
+                         x[3], node.quant.in_q.zero_point, node.quant.mantissa[0],
+                         node.quant.shift[0], node.quant.out_q.zero_point);
       });
       return;
     }
@@ -940,8 +952,8 @@ void BatchedExecutor::dispatch(const ir::Node& node, int n) {
     }
     case ir::OpKind::kQRelu: {
       std::int8_t* out = reinterpret_cast<std::int8_t*>(buffer(node.id));
-      each_sample(n, io_bytes, [&](int s) {
-        qrelu(i8_s(node.inputs[0], s), out + static_cast<std::ptrdiff_t>(s) * per_out, per_out,
+      each_chunk([&](int s, std::size_t lo, std::size_t hi) {
+        qrelu(i8_s(node.inputs[0], s) + lo, out + s * per_out + lo, hi - lo,
               node.quant.out_q.zero_point);
       });
       return;

@@ -13,9 +13,10 @@
 //
 // Float kernels are deliberately naive direct loops (the reference
 // semantics); the int8 kernels (kernels_int8.hpp) are the optimized
-// deployment path. Integer inference is bit-identical across repeated
-// runs and thread counts: convolution channels are independent, and
-// every other kernel is single-pass integer arithmetic.
+// deployment path. Inference is bit-identical across repeated runs and
+// thread counts: the thread pool only ever splits work into
+// independent (sample, pixel tile, channel) or (sample, element chunk)
+// pieces, each computed exactly as the serial loop computes it.
 #pragma once
 
 #include <cstdint>
@@ -32,9 +33,10 @@
 namespace micronas::rt {
 
 struct ExecOptions {
-  /// Worker threads for the int8/float convolution channel partition
-  /// (1 = serial, 0 = one per hardware thread). Results are
-  /// bit-identical for every setting.
+  /// Lanes of the executor's thread pool (1 = serial, 0 = one per
+  /// hardware thread). Executor splits its convolutions and linear
+  /// layers over them; BatchedExecutor splits every op (see its class
+  /// comment). Results are bit-identical for every setting.
   int threads = 1;
   /// Pre-packed qconv/qlinear weights keyed by this graph's node ids
   /// (compile::CompiledModel::packed, or a package's PACK section) —
@@ -120,12 +122,17 @@ class Executor {
 ///
 /// Compiles a batch-1 graph at batch capacity N: every activation
 /// buffer (and the arena, planned with MemoryPlanOptions::batch) holds
-/// N samples, batched qconv/qlinear widen the int8-GEMM M dimension
-/// instead of looping the graph, and every other kernel broadcasts
-/// over the batch axis (independent samples, partitioned over the
-/// thread pool). A partial batch of n < N runs the same plan with a
-/// smaller effective M — each buffer simply uses its first n sample
-/// slots.
+/// N samples, and batched qconv/qlinear widen the int8-GEMM M dimension
+/// instead of looping the graph. A partial batch of n < N runs the same
+/// plan with a smaller effective M — each buffer simply uses its first
+/// n sample slots.
+///
+/// Every op splits over the thread pool, batch 1 included: convolutions
+/// over (sample x 64-pixel tile x channel block), pools and per-channel
+/// ops over (sample x channel), elementwise ops over (sample x
+/// kElementChunk elements), linear layers over samples. An op
+/// whose whole dispatch touches fewer than kMinParallelBytes runs on
+/// the calling thread instead.
 ///
 /// Bit-identity guarantee: sample i of run_batch({x0.., xi, ..}) is
 /// bit-identical to Executor::run(xi) for every batch size, thread
@@ -158,31 +165,32 @@ class BatchedExecutor {
   /// (see Executor::op_profile; bytes are per sample).
   const std::vector<OpProfileEntry>& op_profile() const { return profile_; }
 
-  /// Bytes a broadcast op's dispatch actually touches per sample:
-  /// output bytes plus every non-const input's bytes, in the op's real
-  /// dtype (an int8 op of N elements is N bytes, a f32 op 4N) — the
-  /// unit each_sample's gate compares against kMinParallelSampleBytes.
+  /// Bytes an op's dispatch actually touches per sample: output bytes
+  /// plus every non-const input's bytes, in the op's real dtype (an
+  /// int8 op of N elements is N bytes, a f32 op 4N). Times the batch,
+  /// it is what the split gate compares against kMinParallelBytes.
   /// Compute-bound ops (f32 conv / linear) report kHeavySample: their
   /// per-element cost dwarfs the memory traffic, so they always cross
   /// the gate.
   static std::size_t sample_io_bytes(const ir::Graph& graph, const ir::Node& node);
-  /// each_sample's pool-dispatch threshold: below this many bytes
-  /// touched per sample the serial loop is strictly faster.
-  static constexpr std::size_t kMinParallelSampleBytes = 32u * 1024u;
+  /// Split gate: below this many bytes touched by the whole dispatch
+  /// (all samples) the calling thread runs the op alone.
+  static constexpr std::size_t kMinParallelBytes = 8u * 1024u;
   /// sample_io_bytes result for compute-bound ops: always parallelize.
   static constexpr std::size_t kHeavySample = ~std::size_t{0};
 
  private:
+  /// Elements per unit of the elementwise split: a whole number of
+  /// 64-byte lines in int8 and in f32, so no two lanes write one line.
+  static constexpr std::size_t kElementChunk = 1024;
+
   void prepare();
   std::byte* buffer(int node_id);
   const std::byte* read_buffer(int node_id) const;
   void dispatch(const ir::Node& node, int n);
-  /// Run fn(sample) for samples [0, n): over the pool when each
-  /// sample's work (`sample_bytes` touched per sample, from
-  /// sample_io_bytes) is large enough to amortize a pool dispatch, else
-  /// a plain loop — samples are independent, so the split cannot change
-  /// results.
-  void each_sample(int n, std::size_t sample_bytes, const std::function<void(int)>& fn);
+  /// The pool when `node`'s dispatch over n samples crosses the split
+  /// gate (kMinParallelBytes or a compute-bound op), else nullptr.
+  ThreadPool* split_pool(const ir::Node& node, int n) const;
 
   const ir::Graph& graph_;
   MemoryPlan plan_;

@@ -21,10 +21,11 @@ namespace {
 
 constexpr int kCapacity = 4;
 
-compile::CompiledModel compile_small(const nb201::Genotype& g, bool quantize = true) {
+compile::CompiledModel compile_small(const nb201::Genotype& g, bool quantize = true,
+                                     int input_size = 8) {
   compile::CompilerOptions options;
   options.macro.cells_per_stage = 1;
-  options.macro.input_size = 8;
+  options.macro.input_size = input_size;
   options.calibration_batches = 1;
   options.quantize = quantize;
   options.seed = 13;
@@ -103,6 +104,48 @@ TEST(BatchedExecutor, BatchedLogitsBitIdenticalToSerialOnSampledGenotypes) {
   }
 }
 
+// Batch 1 splits every op over the pool: convs over (sample x 64-pixel
+// tile x channel block), pools over (sample x channel), elementwise ops
+// over (sample x element chunk). At 32x32 input the stages' planes are
+// 1024, 256 and 64 pixels — multi-tile grids, and at 64 pixels one tile
+// split over channel blocks only; at 20x20 they are 400, 100 and 25
+// pixels, so every plane ends in a partial tile. Batch-1 and ragged
+// batches must stay bit-identical to serial at every lane count,
+// including counts that do not divide any grid.
+TEST(BatchedExecutor, BatchOneAndRaggedBitIdenticalAcrossThreadCounts) {
+  // The golden arch (every op kind: 3x3 and 1x1 conv, pool, skip, add)
+  // plus sampled genotypes; 20x20 reruns the first two.
+  Rng rng(202);
+  std::vector<nb201::Genotype> genotypes{nb201::Genotype::from_string(
+      "|nor_conv_3x3~0|+|none~0|skip_connect~1|+|avg_pool_3x3~0|nor_conv_1x1~1|nor_conv_3x3~2|")};
+  for (const nb201::Genotype& g : nb201::sample_genotypes(rng, 3)) genotypes.push_back(g);
+  const int kInputs = kCapacity + 1;  // chunk 3 leaves a ragged final batch of 2
+  int arch = 0;
+  for (const int input_size : {32, 20}) {
+    const std::size_t count = input_size == 32 ? genotypes.size() : 2;
+    for (std::size_t i = 0; i < count; ++i) {
+      const nb201::Genotype& g = genotypes[i];
+      const compile::CompiledModel model = compile_small(g, /*quantize=*/true, input_size);
+      const std::vector<Tensor> inputs =
+          sample_inputs(kInputs, 1700 + static_cast<std::uint64_t>(arch), input_size);
+
+      rt::Executor serial(model.graph, model.plan, rt::ExecOptions{1});
+      std::vector<Tensor> expected;
+      expected.reserve(inputs.size());
+      for (const Tensor& in : inputs) expected.push_back(serial.run(in));
+
+      for (const int threads : {1, 2, 3, 4, 7}) {
+        rt::BatchedExecutor batched(model.graph, kCapacity, rt::ExecOptions{threads});
+        const std::string what = std::to_string(input_size) + "x" + std::to_string(input_size) +
+                                 " arch " + std::to_string(arch) + " (" + g.to_string() +
+                                 ") threads " + std::to_string(threads);
+        for (const int chunk : {1, 3}) check_chunked(batched, inputs, expected, chunk, what);
+      }
+      ++arch;
+    }
+  }
+}
+
 // Slot position must not matter: the same input run at every slot of a
 // full batch (alongside different neighbors) yields the same logits.
 TEST(BatchedExecutor, SlotPositionDoesNotChangeLogits) {
@@ -156,8 +199,9 @@ TEST(BatchedExecutor, ArenaScalesWithBatchCapacity) {
   }
 }
 
-// A float pipeline (quantize=false) batches the same way — the
-// broadcast path over the f32 reference kernels.
+// A float pipeline (quantize=false) batches the same way — the same
+// partition over the f32 reference kernels, the f32 conv included (it
+// splits each sample's channels over the pool, like Executor's).
 TEST(BatchedExecutor, FloatPipelineBatchesBitIdentically) {
   const compile::CompiledModel model =
       compile_small(nb201::Genotype::from_index(1234), /*quantize=*/false);
@@ -167,10 +211,12 @@ TEST(BatchedExecutor, FloatPipelineBatchesBitIdentically) {
   std::vector<Tensor> expected;
   for (const Tensor& in : inputs) expected.push_back(serial.run(in));
 
-  for (const int threads : {1, 2}) {
+  for (const int threads : {1, 2, 3}) {
     rt::BatchedExecutor batched(model.graph, kCapacity, rt::ExecOptions{threads});
-    check_chunked(batched, inputs, expected, kCapacity,
-                  "float pipeline, threads " + std::to_string(threads));
+    for (const int chunk : {1, kCapacity}) {
+      check_chunked(batched, inputs, expected, chunk,
+                    "float pipeline, threads " + std::to_string(threads));
+    }
   }
 }
 

@@ -344,9 +344,10 @@ TEST(BatchedDispatchGate, SampleIoBytesCountsRealBytesNotElements) {
   }
   EXPECT_TRUE(saw_int8);
   // An int8 tensor of N elements must gate on N bytes (not 4N): a
-  // 16x16x16 int8 activation (4 KB in+out ~ 12 KB with two inputs) sits
-  // far below the 32 KB gate even though 4N would put f32 there.
-  EXPECT_LT(std::size_t{3} * 16 * 16 * 16, BatchedExecutor::kMinParallelSampleBytes);
+  // batch-1 16x8x8 int8 add (1 KB per operand, 3 KB in+out) sits below
+  // the whole-dispatch gate even though 4N would put it across.
+  EXPECT_LT(std::size_t{3} * 16 * 8 * 8, BatchedExecutor::kMinParallelBytes);
+  EXPECT_GE(std::size_t{4} * 3 * 16 * 8 * 8, BatchedExecutor::kMinParallelBytes);
   (void)saw_f32;
 }
 

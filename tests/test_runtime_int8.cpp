@@ -8,6 +8,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <vector>
 
 #include "src/compile/compiler.hpp"
 #include "src/data/synthetic.hpp"
@@ -132,6 +133,56 @@ TEST(Int8Kernels, QAddMatchesRealArithmeticWithAsymmetricZeroPoints) {
   b[0] = static_cast<std::int8_t>(b_p.zero_point);
   rt::qadd(a, b, out, 1, a_p.zero_point, ma, sa, b_p.zero_point, mb, sb, out_p.zero_point);
   EXPECT_EQ(out[0], static_cast<std::int8_t>(out_p.zero_point));
+}
+
+// The branch-free qavg_pool must match the bounds-checked reference
+// loop byte for byte: kernel 2/3, stride 1/2, pad 0/1, odd and even
+// planes, zero points at the int8 extremes, and output extents both at
+// the full window formula and one row short of it (out_h comes from the
+// caller, so input rows no window reads must not matter).
+TEST(Int8Kernels, QAvgPoolMatchesScalarReference) {
+  Rng rng(4242);
+  int cases = 0;
+  for (const int kernel : {2, 3}) {
+    for (const int stride : {1, 2}) {
+      for (const int pad : {0, 1}) {
+        for (const int h : {1, 3, 5, 8, 9}) {
+          for (const int w : {1, 4, 7}) {
+            for (const int in_zp : {-128, 127, -5}) {
+              const int out_zp = in_zp == 127 ? -128 : 127;
+              const int full_h = (h + 2 * pad - kernel) / stride + 1;
+              const int full_w = (w + 2 * pad - kernel) / stride + 1;
+              if (h + 2 * pad < kernel || w + 2 * pad < kernel) continue;
+              for (const int crop : {0, 1}) {
+                const int out_h = std::max(1, full_h - crop);
+                const int out_w = full_w;
+                const int batch = 2;
+                const int channels = 3;
+                std::vector<std::int8_t> in(static_cast<std::size_t>(batch) * channels * h * w);
+                for (auto& v : in) v = static_cast<std::int8_t>(rng.uniform_int(-128, 127));
+                std::int32_t mantissa = 0;
+                int shift = 0;
+                quantize_multiplier(1.7 / (kernel * kernel), &mantissa, &shift);
+                const std::size_t out_n =
+                    static_cast<std::size_t>(batch) * channels * out_h * out_w;
+                std::vector<std::int8_t> got(out_n, 0);
+                std::vector<std::int8_t> want(out_n, 1);
+                rt::qavg_pool(in.data(), got.data(), batch, channels, h, w, kernel, stride, pad,
+                              out_h, out_w, in_zp, mantissa, shift, out_zp);
+                rt::qavg_pool_reference(in.data(), want.data(), batch, channels, h, w, kernel,
+                                        stride, pad, out_h, out_w, in_zp, mantissa, shift, out_zp);
+                ASSERT_EQ(got, want) << "k" << kernel << " s" << stride << " p" << pad << " "
+                                     << h << "x" << w << " -> " << out_h << "x" << out_w
+                                     << " zp " << in_zp << "/" << out_zp;
+                ++cases;
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(cases, 300);
 }
 
 TEST(Int8Kernels, QConvHandlesAsymmetricInputZeroPointAtBorders) {
