@@ -152,7 +152,7 @@ double burst_ms(serve::ModelServer& server, const std::vector<Tensor>& inputs, i
 // Batched server vs a serial request loop, same loaded model and
 // inputs; wall time of the case tracks the batched pass
 // (items_processed counts its requests). The server runs the default
-// one-invocation path (one BatchedExecutor::run_batch per coalesced
+// one-invocation path (one Executor::run_batch per coalesced
 // batch); pass fanout=1 to bench the legacy per-slot fan-out instead.
 // The batched logits are asserted bit-identical to serial in
 // tests/test_serve.cpp and tests/test_batched_executor.cpp; here only
@@ -195,17 +195,19 @@ BENCH_CASE_OPTS(serve, batched_vs_serial,
 }
 
 // The tentpole head-to-head: one-invocation batching (a coalesced
-// batch = ONE BatchedExecutor::run_batch, int8-GEMM M widened to the
-// whole batch) vs the legacy per-slot fan-out (one Executor per slot
-// over the shared pool) on the same model, inputs and thread budget.
+// batch = ONE Executor::run_batch, int8-GEMM M widened to the
+// whole batch) vs the legacy per-slot fan-out (one capacity-1 Executor
+// per slot over the shared pool) on the same model, inputs and thread
+// budget.
 // batch_speedup = fanout wall / one-invocation wall; > 1 means one
 // widened invocation beats running the graph max_batch times. The
 // default model is deliberately small (input=8): what one-invocation
 // removes is the per-invocation cost (graph walks, kernel launches,
 // pool dispatches), so the case measures the overhead-bound serving
 // regime; on multi-core hosts the margin additionally includes the
-// widened GEMM's better parallel scaling. Wall time of the case
-// tracks the one-invocation pass.
+// widened GEMM's better parallel scaling. Each timed rep runs one
+// burst of BOTH contestants, so the case's wall time is their sum; only
+// the counters compare them.
 BENCH_CASE_OPTS(serve, batched_one_invocation,
                 bench::CaseOptions{.warmup = 1, .min_reps = 6, .max_reps = 12, .tier = 1}) {
   const compile::CompilerOptions options = serve_options(state, /*default_input=*/8);
@@ -250,7 +252,7 @@ BENCH_CASE_OPTS(serve, batched_one_invocation,
 // Batch-1 thread scaling on the serve-heavy model shape (the golden
 // arch at 32x32 input, 2 cells per stage, weight seed 7, executor at
 // batch capacity max_batch as a server lane builds it): one request
-// through BatchedExecutor::run_batch at threads=1 and at threads=4,
+// through Executor::run_batch at threads=1 and at threads=4,
 // interleaved run by run so both see the same ambient noise.
 // b1_speedup_4t = median 1-thread ms / median 4-thread ms is the
 // machine-independent ratio; it only means something next to
@@ -270,10 +272,10 @@ BENCH_CASE_OPTS(serve, batch1_scaling,
                                    "|avg_pool_3x3~0|nor_conv_1x1~1|nor_conv_3x3~2|"),
       options);
   const Tensor input = serve_inputs(1, options.macro.input_size).front();
-  rt::BatchedExecutor one(model.graph, model.plan_for_batch(max_batch), max_batch,
-                          rt::ExecOptions{1, &model.packed});
-  rt::BatchedExecutor four(model.graph, model.plan_for_batch(max_batch), max_batch,
-                           rt::ExecOptions{4, &model.packed});
+  rt::Executor one(model.graph, model.plan_for_batch(max_batch), max_batch,
+                   rt::ExecOptions{1, &model.packed});
+  rt::Executor four(model.graph, model.plan_for_batch(max_batch), max_batch,
+                    rt::ExecOptions{4, &model.packed});
   one.run(input);  // warm
   four.run(input);
 

@@ -25,7 +25,7 @@ std::vector<Tensor> make_calibration_batches(const CompilerOptions& options) {
   std::vector<Tensor> batches;
   batches.reserve(static_cast<std::size_t>(options.calibration_batches));
   for (int i = 0; i < options.calibration_batches; ++i) {
-    batches.push_back(data.sample_batch(options.batch, rng).images);
+    batches.push_back(data.sample_batch(1, rng).images);
   }
   return batches;
 }
@@ -50,7 +50,6 @@ CompiledModel compile_genotype(const nb201::Genotype& genotype, const CompilerOp
 
   ir::LowerOptions lower;
   lower.macro = options.macro;
-  lower.batch = options.batch;
   lower.seed = options.seed;
   {
     OBS_SPAN("compile.lower");
@@ -66,7 +65,6 @@ CompiledModel compile_genotype(const nb201::Genotype& genotype, const CompilerOp
   if (options.quantize) {
     QuantizePassOptions qopts;
     qopts.spec = options.quant;
-    qopts.threads = options.threads;
     pm.add(std::make_unique<QuantizePass>(make_calibration_batches(options), qopts));
     pm.add(std::make_unique<DeadCodeElimPass>());
   }

@@ -32,7 +32,6 @@ namespace micronas::compile {
 
 struct CompilerOptions {
   MacroNetConfig macro;         // deployment skeleton
-  int batch = 1;
   std::uint64_t seed = 1;       // weights + calibration data
   bool fold = true;
   bool fuse = true;
@@ -40,10 +39,9 @@ struct CompilerOptions {
   /// Schedule-reorder pass: permute the node list when list scheduling
   /// finds an order the planner proves strictly arena-smaller.
   bool reorder = true;
-  int calibration_batches = 2;  // each of shape [batch, C, H, W]
+  int calibration_batches = 2;  // each one sample, shape [1, C, H, W]
   QuantSpec quant;
   rt::MemoryPlanOptions plan;
-  int threads = 1;              // calibration executor concurrency
 };
 
 struct CompileReport {
@@ -88,7 +86,7 @@ struct CompiledModel {
 
   /// Re-plan the activation arena at `batch_capacity`: the same graph
   /// and schedule with every buffer scaled to hold batch_capacity
-  /// samples — what a serving deployment hands rt::BatchedExecutor so a
+  /// samples — what a serving deployment hands rt::Executor so a
   /// coalesced batch is one executor invocation. batch_capacity == 1
   /// reproduces `plan` (up to the alignment in `options`). The batch
   /// capacity is a deployment choice, not a model property, so it is

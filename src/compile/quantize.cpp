@@ -97,7 +97,7 @@ bool QuantizePass::run(ir::Graph& graph) {
   // ---- calibration: per-value activation ranges on the float graph.
   std::vector<Range> ranges(static_cast<std::size_t>(graph.size()));
   {
-    rt::Executor calib(graph, rt::ExecOptions{options_.threads});
+    rt::Executor calib(graph);
     calib.set_observer([&ranges](int id, std::span<const float> values) {
       Range& r = ranges[static_cast<std::size_t>(id)];
       for (float v : values) {

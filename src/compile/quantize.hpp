@@ -1,9 +1,9 @@
 // Calibration-based post-training int8 quantization.
 //
 // The pass runs the (folded + fused) float graph on a handful of
-// calibration batches through the unplanned reference executor,
-// records per-value activation ranges, and rewrites the graph into the
-// integer domain:
+// single-sample calibration inputs through a serial, unplanned
+// rt::Executor, records per-value activation ranges, and rewrites the
+// graph into the integer domain:
 //
 //   input -> quantize -> {qconv2d / qadd / qavg_pool / qgap / qlinear /
 //   qrelu}* -> dequantize -> f32 logits
@@ -25,8 +25,7 @@
 namespace micronas::compile {
 
 struct QuantizePassOptions {
-  QuantSpec spec;   // must be 8-bit
-  int threads = 1;  // calibration executor concurrency
+  QuantSpec spec;  // must be 8-bit
 };
 
 class QuantizePass final : public Pass {

@@ -138,7 +138,7 @@ Graph lower_genotype(const nb201::Genotype& genotype, const LowerOptions& option
   Lowering lw(options);
 
   int x = lw.graph.add_input(
-      TensorType{Shape{options.batch, m.input_channels, m.input_size, m.input_size},
+      TensorType{Shape{1, m.input_channels, m.input_size, m.input_size},
                  DType::kF32});
 
   x = lw.conv_bn_relu(x, m.base_channels, 3, 1, 1, true, "stem");

@@ -26,7 +26,6 @@ namespace micronas::ir {
 
 struct LowerOptions {
   MacroNetConfig macro;         // deployment skeleton (NB201 defaults)
-  int batch = 1;                // inference batch size
   std::uint64_t seed = 1;       // weight/BN parameter streams
   bool emit_batch_norm = true;  // false: bare conv(+relu) chains
 };

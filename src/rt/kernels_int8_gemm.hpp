@@ -44,7 +44,7 @@
 //     MICRONAS_PORTABLE builds or when no packed weights exist).
 //
 // Dispatch entry points (`qconv2d_auto`, `qlinear_auto`) are what
-// rt::Executor / rt::BatchedExecutor call; they fall back to the
+// rt::Executor calls; they fall back to the
 // scalar kernels whenever the table says so, so a build with
 // MICRONAS_PORTABLE=ON (no blocking assumptions, plain loops) behaves
 // identically through the same call sites.
@@ -128,7 +128,7 @@ PackedWeightSet pack_graph_weights(const ir::Graph& graph);
 
 /// Scratch bytes per sample the im2col-GEMM conv kernel needs inside
 /// QConv2dArgs::columns: the zero-point-padded int16 input image plus
-/// the int16 [column][padded patch] operand. Executors size their
+/// the int16 [column][padded patch] operand. The executor sizes its
 /// shared scratch to the max of this (times batch) and the scalar
 /// kernel's int8 im2col across all conv nodes.
 std::size_t qconv_gemm_scratch_bytes(int cin, int h, int w, int kernel, int pad, int out_h,

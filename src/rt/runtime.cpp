@@ -14,8 +14,8 @@ namespace micronas::rt {
 
 namespace {
 
-/// Per-node Σ_k w[c,k] for kQConv2d / kQLinear (shared by Executor and
-/// BatchedExecutor; the kernels' zero-point correction term).
+/// Per-node Σ_k w[c,k] for kQConv2d / kQLinear (the kernels'
+/// zero-point correction term).
 std::vector<std::vector<std::int32_t>> compute_weight_sums(const ir::Graph& graph) {
   std::vector<std::vector<std::int32_t>> sums_by_node(static_cast<std::size_t>(graph.size()));
   for (const auto& node : graph.nodes()) {
@@ -39,16 +39,14 @@ std::vector<std::vector<std::int32_t>> compute_weight_sums(const ir::Graph& grap
 /// Conv scratch high-water in BYTES across the graph's kQConv2d nodes:
 /// whichever of the scalar kernel's int8 im2col and the dot16 GEMM's
 /// int16 image + operand (qconv_gemm_scratch_bytes) is larger, since
-/// kernel selection happens per dispatch. Scales with each node's own
-/// batch dimension times `batch_mult` (the BatchedExecutor's capacity;
-/// 1 for Executor).
-std::size_t max_qconv_scratch_bytes(const ir::Graph& graph, int batch_mult) {
+/// kernel selection happens per dispatch. Scales with the executor's
+/// batch capacity (the graph itself is at batch 1).
+std::size_t max_qconv_scratch_bytes(const ir::Graph& graph, int capacity) {
   std::size_t max_bytes = 0;
   for (const auto& node : graph.nodes()) {
     if (node.op != ir::OpKind::kQConv2d) continue;
     const ir::Node& x = graph.node(node.inputs[0]);
-    const std::size_t batch = static_cast<std::size_t>(batch_mult) *
-                              static_cast<std::size_t>(node.type.shape[0]);
+    const std::size_t batch = static_cast<std::size_t>(capacity);
     const std::size_t scalar_bytes = batch * static_cast<std::size_t>(node.type.shape[2]) *
                                      static_cast<std::size_t>(node.type.shape[3]) *
                                      static_cast<std::size_t>(x.type.shape[1]) *
@@ -212,9 +210,9 @@ std::vector<OpProfileEntry> build_profile_table(const ir::Graph& graph, const Me
   return table;
 }
 
-/// Span + optional timing around one node dispatch; shared by both
-/// executors' walk loops. Disabled tracing and profiling cost one
-/// predicted branch each.
+/// Span + optional timing around one node dispatch in the executor's
+/// walk loop. Disabled tracing and profiling cost one predicted branch
+/// each.
 class NodeScope {
  public:
   NodeScope(OpProfileEntry& entry, bool profile)
@@ -243,42 +241,100 @@ class NodeScope {
   double start_us_ = 0.0;
 };
 
+/// The unplanned layout: every non-const value in its own
+/// cache-line-aligned slot, no lifetime reuse — the naive reference
+/// the planned arena is checked against.
+MemoryPlan private_layout(const ir::Graph& graph) {
+  MemoryPlan plan;
+  for (const auto& node : graph.nodes()) {
+    if (node.is_const()) continue;
+    BufferPlacement b;
+    b.node_id = node.id;
+    b.offset = plan.arena_bytes;
+    b.size = node.type.bytes();
+    plan.buffers.push_back(b);
+    plan.arena_bytes += (b.size + kMaxPlanAlignment - 1) / kMaxPlanAlignment * kMaxPlanAlignment;
+  }
+  plan.naive_bytes = plan.arena_bytes;
+  return plan;
+}
+
 }  // namespace
 
-Executor::Executor(const ir::Graph& graph, const MemoryPlan& plan, ExecOptions options)
-    : graph_(graph), plan_(plan), planned_(true), options_(options) {
+Executor::Executor(const ir::Graph& graph, MemoryPlan plan, ExecOptions options)
+    : Executor(graph, std::move(plan), 1, options) {}
+
+Executor::Executor(const ir::Graph& graph, ExecOptions options)
+    : Executor(graph, private_layout(graph), 1, options) {}
+
+Executor::Executor(const ir::Graph& graph, int batch_capacity, ExecOptions options,
+                   MemoryPlanOptions plan_options)
+    : graph_(graph), capacity_(batch_capacity), options_(options) {
+  if (capacity_ < 1) {
+    throw std::invalid_argument("Executor: batch capacity must be >= 1");
+  }
+  plan_options.batch = capacity_;
+  plan_ = plan_memory(graph_, plan_options);
   prepare();
 }
 
-Executor::Executor(const ir::Graph& graph, ExecOptions options)
-    : graph_(graph), planned_(false), options_(options) {
+Executor::Executor(const ir::Graph& graph, MemoryPlan plan, int batch_capacity,
+                   ExecOptions options)
+    : graph_(graph), plan_(std::move(plan)), capacity_(batch_capacity), options_(options) {
+  if (capacity_ < 1) {
+    throw std::invalid_argument("Executor: batch capacity must be >= 1");
+  }
+  // The plan must be a batch-capacity plan of this graph: every
+  // placement holds capacity_ samples of its value.
+  for (const BufferPlacement& b : plan_.buffers) {
+    const long long want = graph_.node(b.node_id).type.bytes() * capacity_;
+    if (b.size != want) {
+      throw std::invalid_argument("Executor: plan holds " + std::to_string(b.size) +
+                                  " B for node %" + std::to_string(b.node_id) + ", want " +
+                                  std::to_string(want) + " B at batch capacity " +
+                                  std::to_string(capacity_));
+    }
+    // At capacity > 1 the per-sample slot strides of an in-place pair
+    // only line up when the two buffers are the same size (plan_memory
+    // enforces this; a hand-built plan must not bypass it).
+    if (capacity_ > 1 && b.alias_of >= 0) {
+      const BufferPlacement* target = plan_.find(b.alias_of);
+      if (target == nullptr || target->size != b.size) {
+        throw std::invalid_argument(
+            "Executor: aliased placement %" + std::to_string(b.node_id) +
+            " must match its target's size at batch capacity > 1");
+      }
+    }
+  }
+  for (const StripStream& s : plan_.strips) {
+    const BufferPlacement* y = plan_.find(s.node_id);
+    const BufferPlacement* x = plan_.find(graph_.node(s.node_id).inputs[0]);
+    if (capacity_ > 1 && (y == nullptr || x == nullptr || y->size != x->size)) {
+      throw std::invalid_argument(
+          "Executor: streamed placement %" + std::to_string(s.node_id) +
+          " must match its input's size at batch capacity > 1");
+    }
+  }
   prepare();
 }
 
 void Executor::prepare() {
   graph_.validate();
+  const ir::Node& in = graph_.node(graph_.input());
   const ir::Node& out = graph_.node(graph_.output());
-  if (out.type.dtype != ir::DType::kF32) {
-    throw std::invalid_argument("Executor: graph must end in a f32 node (add a dequantize)");
+  if (in.type.dtype != ir::DType::kF32 || out.type.dtype != ir::DType::kF32) {
+    throw std::invalid_argument("Executor: graph must start and end in f32 nodes");
   }
-  if (graph_.node(graph_.input()).type.dtype != ir::DType::kF32) {
-    throw std::invalid_argument("Executor: graph input must be f32 (insert a quantize node)");
+  if (in.type.shape[0] != 1) {
+    throw std::invalid_argument(
+        "Executor: graph must be compiled at batch 1 — the input batch dim is the "
+        "sample axis the executor widens; got input " +
+        in.type.shape.to_string());
   }
   if (options_.threads != 1) pool_ = std::make_unique<ThreadPool>(options_.threads);
-
-  if (planned_) {
-    arena_.resize(static_cast<std::size_t>(plan_.arena_bytes));
-  } else {
-    private_buffers_.resize(static_cast<std::size_t>(graph_.size()));
-    for (const auto& node : graph_.nodes()) {
-      if (node.is_const()) continue;
-      private_buffers_[static_cast<std::size_t>(node.id)].resize(
-          static_cast<std::size_t>(node.type.bytes()));
-    }
-  }
-
+  arena_.resize(static_cast<std::size_t>(plan_.arena_bytes));
   weight_sums_ = compute_weight_sums(graph_);
-  columns_.resize(max_qconv_scratch_bytes(graph_, 1));
+  columns_.resize(max_qconv_scratch_bytes(graph_, capacity_));
   stream_scratch_.resize(static_cast<std::size_t>(plan_.stream_scratch_bytes));
   if (options_.packed != nullptr) {
     packed_ = options_.packed;
@@ -287,6 +343,19 @@ void Executor::prepare() {
     packed_ = &owned_packed_;
   }
   profile_ = build_profile_table(graph_, plan_, packed_);
+}
+
+std::size_t Executor::sample_io_bytes(const ir::Graph& graph, const ir::Node& node) {
+  // f32 conv/linear cost is dominated by per-element arithmetic, not
+  // the bytes moved — always worth a pool dispatch.
+  if (node.op == ir::OpKind::kConv2d || node.op == ir::OpKind::kLinear) return kHeavySample;
+  std::size_t bytes = static_cast<std::size_t>(node.type.bytes());
+  for (const int id : node.inputs) {
+    const ir::Node& in = graph.node(id);
+    if (in.is_const()) continue;  // weights/params are shared, not per-sample
+    bytes += static_cast<std::size_t>(in.type.bytes());
+  }
+  return bytes;
 }
 
 std::byte* Executor::buffer(int node_id) {
@@ -305,361 +374,42 @@ const std::byte* Executor::read_buffer(int node_id) const {
         return reinterpret_cast<const std::byte*>(node.i32_data.data());
     }
   }
-  if (planned_) {
-    const BufferPlacement* b = plan_.find(node_id);
-    if (!b) throw std::logic_error("Executor: node has no arena placement");
-    return arena_.data() + b->offset;
-  }
-  return private_buffers_[static_cast<std::size_t>(node_id)].data();
-}
-
-const float* Executor::f32_in(int node_id) const {
-  return reinterpret_cast<const float*>(read_buffer(node_id));
-}
-
-const std::int8_t* Executor::i8_in(int node_id) const {
-  return reinterpret_cast<const std::int8_t*>(read_buffer(node_id));
-}
-
-Tensor Executor::run(const Tensor& input) {
-  const ir::Node& in_node = graph_.node(graph_.input());
-  if (!(input.shape() == in_node.type.shape)) {
-    throw std::invalid_argument("Executor::run: input shape " + input.shape().to_string() +
-                                " != graph input " + in_node.type.shape.to_string());
-  }
-  std::memcpy(buffer(in_node.id), input.data().data(), input.numel() * sizeof(float));
-  if (observer_) observer_(in_node.id, input.data());
-
-  OBS_SPAN("rt.run");
-  for (const auto& node : graph_.nodes()) {
-    if (node.is_const() || node.op == ir::OpKind::kInput) continue;
-    {
-      NodeScope scope(profile_[static_cast<std::size_t>(node.id)], options_.profile);
-      dispatch(node);
-    }
-    if (observer_ && node.type.dtype == ir::DType::kF32) {
-      observer_(node.id, std::span<const float>(f32_in(node.id), node.type.shape.numel()));
-    }
-  }
-
-  const ir::Node& out = graph_.node(graph_.output());
-  Tensor result(out.type.shape);
-  std::memcpy(result.data().data(), read_buffer(out.id), result.numel() * sizeof(float));
-  return result;
-}
-
-void Executor::dispatch(const ir::Node& node) {
-  const auto& shape = node.type.shape;
-  const auto in_shape = [&](std::size_t i) -> const Shape& {
-    return graph_.node(node.inputs[i]).type.shape;
-  };
-
-  switch (node.op) {
-    case ir::OpKind::kConv2d: {
-      const Shape& x = in_shape(0);
-      const float* bias = node.inputs.size() == 3 ? f32_in(node.inputs[2]) : nullptr;
-      conv2d_f32(f32_in(node.inputs[0]), f32_in(node.inputs[1]), bias,
-                 reinterpret_cast<float*>(buffer(node.id)), x[0], x[1], x[2], x[3], shape[1],
-                 node.conv.kernel, node.conv.stride, node.conv.pad, shape[2], shape[3],
-                 node.conv.fused_relu, pool_.get());
-      return;
-    }
-    case ir::OpKind::kBatchNorm: {
-      const Shape& x = in_shape(0);
-      batch_norm_f32(f32_in(node.inputs[0]), f32_in(node.inputs[1]), f32_in(node.inputs[2]),
-                     f32_in(node.inputs[3]), f32_in(node.inputs[4]),
-                     reinterpret_cast<float*>(buffer(node.id)), x[0], x[1], x[2] * x[3],
-                     node.conv.bn_eps);
-      return;
-    }
-    case ir::OpKind::kChannelAffine: {
-      const Shape& x = in_shape(0);
-      channel_affine_f32(f32_in(node.inputs[0]), f32_in(node.inputs[1]), f32_in(node.inputs[2]),
-                         reinterpret_cast<float*>(buffer(node.id)), x[0], x[1], x[2] * x[3]);
-      return;
-    }
-    case ir::OpKind::kRelu:
-      relu_f32(f32_in(node.inputs[0]), reinterpret_cast<float*>(buffer(node.id)),
-               shape.numel());
-      return;
-    case ir::OpKind::kAvgPool: {
-      const Shape& x = in_shape(0);
-      avg_pool_f32(f32_in(node.inputs[0]), reinterpret_cast<float*>(buffer(node.id)), x[0],
-                   x[1], x[2], x[3], node.conv.kernel, node.conv.stride, node.conv.pad, shape[2],
-                   shape[3]);
-      return;
-    }
-    case ir::OpKind::kAdd:
-      add_f32(f32_in(node.inputs[0]), f32_in(node.inputs[1]),
-              reinterpret_cast<float*>(buffer(node.id)), shape.numel());
-      return;
-    case ir::OpKind::kGlobalAvgPool: {
-      const Shape& x = in_shape(0);
-      global_avg_pool_f32(f32_in(node.inputs[0]), reinterpret_cast<float*>(buffer(node.id)),
-                          x[0], x[1], x[2] * x[3]);
-      return;
-    }
-    case ir::OpKind::kLinear: {
-      const Shape& x = in_shape(0);
-      const float* bias = node.inputs.size() == 3 ? f32_in(node.inputs[2]) : nullptr;
-      linear_f32(f32_in(node.inputs[0]), f32_in(node.inputs[1]), bias,
-                 reinterpret_cast<float*>(buffer(node.id)), x[0], x[1], shape[1]);
-      return;
-    }
-    case ir::OpKind::kQuantize:
-      quantize_buffer(f32_in(node.inputs[0]),
-                      reinterpret_cast<std::int8_t*>(buffer(node.id)), shape.numel(),
-                      node.quant.out_q.scale, node.quant.out_q.zero_point);
-      return;
-    case ir::OpKind::kDequantize:
-      dequantize_buffer(i8_in(node.inputs[0]), reinterpret_cast<float*>(buffer(node.id)),
-                        shape.numel(), node.quant.in_q.scale, node.quant.in_q.zero_point);
-      return;
-    case ir::OpKind::kQConv2d: {
-      const Shape& x = in_shape(0);
-      if (const StripStream* strip = plan_.find_strip(node.id)) {
-        // Output overlays input: stream each sample in row strips. The
-        // planner only streams nodes whose per-sample input and output
-        // bases coincide (batch 1, or cin == cout).
-        const std::int8_t* xb = i8_in(node.inputs[0]);
-        std::int8_t* yb = reinterpret_cast<std::int8_t*>(buffer(node.id));
-        const std::ptrdiff_t per_in = static_cast<std::ptrdiff_t>(x[1]) * x[2] * x[3];
-        const std::ptrdiff_t per_out = static_cast<std::ptrdiff_t>(shape[1]) * shape[2] * shape[3];
-        for (int s = 0; s < x[0]; ++s) {
-          run_strip_streamed(node, x, strip->strip_h, xb + s * per_in, yb + s * per_out,
-                             stream_scratch_.data(), columns_.data(),
-                             weight_sums_[static_cast<std::size_t>(node.id)].data(),
-                             i8_in(node.inputs[1]),
-                             reinterpret_cast<const std::int32_t*>(read_buffer(node.inputs[2])),
-                             packed_ ? packed_->find(node.id) : nullptr, pool_.get());
-        }
-        return;
-      }
-      QConv2dArgs a;
-      a.batch = x[0];
-      a.cin = x[1];
-      a.h = x[2];
-      a.w = x[3];
-      a.cout = shape[1];
-      a.kernel = node.conv.kernel;
-      a.stride = node.conv.stride;
-      a.pad = node.conv.pad;
-      a.out_h = shape[2];
-      a.out_w = shape[3];
-      a.in_zp = node.quant.in_q.zero_point;
-      a.out_zp = node.quant.out_q.zero_point;
-      a.fused_relu = node.conv.fused_relu;
-      a.input = i8_in(node.inputs[0]);
-      a.weight = i8_in(node.inputs[1]);
-      a.bias = reinterpret_cast<const std::int32_t*>(read_buffer(node.inputs[2]));
-      a.weight_sum = weight_sums_[static_cast<std::size_t>(node.id)].data();
-      a.mantissa = node.quant.mantissa.data();
-      a.shift = node.quant.shift.data();
-      a.columns = columns_.data();
-      a.output = reinterpret_cast<std::int8_t*>(buffer(node.id));
-      qconv2d_auto(a, packed_ ? packed_->find(node.id) : nullptr, pool_.get());
-      return;
-    }
-    case ir::OpKind::kQAvgPool: {
-      const Shape& x = in_shape(0);
-      if (const StripStream* strip = plan_.find_strip(node.id)) {
-        const std::int8_t* xb = i8_in(node.inputs[0]);
-        std::int8_t* yb = reinterpret_cast<std::int8_t*>(buffer(node.id));
-        const std::ptrdiff_t per = static_cast<std::ptrdiff_t>(x[1]) * x[2] * x[3];
-        for (int s = 0; s < x[0]; ++s) {
-          run_strip_streamed(node, x, strip->strip_h, xb + s * per, yb + s * per,
-                             stream_scratch_.data(), columns_.data(), nullptr, nullptr, nullptr,
-                             nullptr, nullptr);
-        }
-        return;
-      }
-      qavg_pool(i8_in(node.inputs[0]), reinterpret_cast<std::int8_t*>(buffer(node.id)), x[0],
-                x[1], x[2], x[3], node.conv.kernel, node.conv.stride, node.conv.pad, shape[2],
-                shape[3], node.quant.in_q.zero_point, node.quant.mantissa[0],
-                node.quant.shift[0], node.quant.out_q.zero_point);
-      return;
-    }
-    case ir::OpKind::kQAdd:
-      qadd(i8_in(node.inputs[0]), i8_in(node.inputs[1]),
-           reinterpret_cast<std::int8_t*>(buffer(node.id)), shape.numel(),
-           node.quant.in_q.zero_point, node.quant.mantissa[0], node.quant.shift[0],
-           node.quant.in2_q.zero_point, node.quant.mantissa2, node.quant.shift2,
-           node.quant.out_q.zero_point);
-      return;
-    case ir::OpKind::kQGlobalAvgPool: {
-      const Shape& x = in_shape(0);
-      qglobal_avg_pool(i8_in(node.inputs[0]), reinterpret_cast<std::int8_t*>(buffer(node.id)),
-                       x[0], x[1], x[2], x[3], node.quant.in_q.zero_point,
-                       node.quant.mantissa[0], node.quant.shift[0],
-                       node.quant.out_q.zero_point);
-      return;
-    }
-    case ir::OpKind::kQLinear: {
-      const Shape& x = in_shape(0);
-      QLinearArgs a;
-      a.batch = x[0];
-      a.in_features = x[1];
-      a.out_features = shape[1];
-      a.in_zp = node.quant.in_q.zero_point;
-      a.out_zp = node.quant.out_q.zero_point;
-      a.input = i8_in(node.inputs[0]);
-      a.weight = i8_in(node.inputs[1]);
-      a.bias = reinterpret_cast<const std::int32_t*>(read_buffer(node.inputs[2]));
-      a.weight_sum = weight_sums_[static_cast<std::size_t>(node.id)].data();
-      a.mantissa = node.quant.mantissa.data();
-      a.shift = node.quant.shift.data();
-      a.output = reinterpret_cast<std::int8_t*>(buffer(node.id));
-      qlinear_auto(a, packed_ ? packed_->find(node.id) : nullptr, pool_.get());
-      return;
-    }
-    case ir::OpKind::kQRelu:
-      qrelu(i8_in(node.inputs[0]), reinterpret_cast<std::int8_t*>(buffer(node.id)),
-            shape.numel(), node.quant.out_q.zero_point);
-      return;
-    case ir::OpKind::kInput:
-    case ir::OpKind::kConst:
-      return;  // handled by the caller
-  }
-  throw std::logic_error("Executor::dispatch: unhandled op kind");
-}
-
-// ------------------------------------------------------------- batched
-
-BatchedExecutor::BatchedExecutor(const ir::Graph& graph, int batch_capacity,
-                                 ExecOptions options, MemoryPlanOptions plan_options)
-    : graph_(graph), capacity_(batch_capacity), options_(options) {
-  if (capacity_ < 1) {
-    throw std::invalid_argument("BatchedExecutor: batch capacity must be >= 1");
-  }
-  plan_options.batch = capacity_;
-  plan_ = plan_memory(graph_, plan_options);
-  prepare();
-}
-
-BatchedExecutor::BatchedExecutor(const ir::Graph& graph, MemoryPlan plan, int batch_capacity,
-                                 ExecOptions options)
-    : graph_(graph), plan_(std::move(plan)), capacity_(batch_capacity), options_(options) {
-  if (capacity_ < 1) {
-    throw std::invalid_argument("BatchedExecutor: batch capacity must be >= 1");
-  }
-  // The plan must be a batch-capacity plan of this graph: every
-  // placement holds capacity_ samples of its value.
-  for (const BufferPlacement& b : plan_.buffers) {
-    const long long want = graph_.node(b.node_id).type.bytes() * capacity_;
-    if (b.size != want) {
-      throw std::invalid_argument("BatchedExecutor: plan holds " + std::to_string(b.size) +
-                                  " B for node %" + std::to_string(b.node_id) + ", want " +
-                                  std::to_string(want) + " B at batch capacity " +
-                                  std::to_string(capacity_));
-    }
-    // At capacity > 1 the per-sample slot strides of an in-place pair
-    // only line up when the two buffers are the same size (plan_memory
-    // enforces this; a hand-built plan must not bypass it).
-    if (capacity_ > 1 && b.alias_of >= 0) {
-      const BufferPlacement* target = plan_.find(b.alias_of);
-      if (target == nullptr || target->size != b.size) {
-        throw std::invalid_argument(
-            "BatchedExecutor: aliased placement %" + std::to_string(b.node_id) +
-            " must match its target's size at batch capacity > 1");
-      }
-    }
-  }
-  for (const StripStream& s : plan_.strips) {
-    const BufferPlacement* y = plan_.find(s.node_id);
-    const BufferPlacement* x = plan_.find(graph_.node(s.node_id).inputs[0]);
-    if (capacity_ > 1 && (y == nullptr || x == nullptr || y->size != x->size)) {
-      throw std::invalid_argument(
-          "BatchedExecutor: streamed placement %" + std::to_string(s.node_id) +
-          " must match its input's size at batch capacity > 1");
-    }
-  }
-  prepare();
-}
-
-void BatchedExecutor::prepare() {
-  graph_.validate();
-  const ir::Node& in = graph_.node(graph_.input());
-  const ir::Node& out = graph_.node(graph_.output());
-  if (in.type.dtype != ir::DType::kF32 || out.type.dtype != ir::DType::kF32) {
-    throw std::invalid_argument("BatchedExecutor: graph must start and end in f32 nodes");
-  }
-  if (in.type.shape[0] != 1) {
-    throw std::invalid_argument(
-        "BatchedExecutor: graph must be compiled at batch 1 — the input batch dim is the "
-        "sample axis the executor widens; got input " +
-        in.type.shape.to_string());
-  }
-  if (options_.threads != 1) pool_ = std::make_unique<ThreadPool>(options_.threads);
-  arena_.resize(static_cast<std::size_t>(plan_.arena_bytes));
-  weight_sums_ = compute_weight_sums(graph_);
-  columns_.resize(max_qconv_scratch_bytes(graph_, capacity_));
-  stream_scratch_.resize(static_cast<std::size_t>(plan_.stream_scratch_bytes));
-  if (options_.packed != nullptr) {
-    packed_ = options_.packed;
-  } else if (fast_kernels_enabled()) {
-    owned_packed_ = pack_graph_weights(graph_);
-    packed_ = &owned_packed_;
-  }
-  profile_ = build_profile_table(graph_, plan_, packed_);
-}
-
-std::size_t BatchedExecutor::sample_io_bytes(const ir::Graph& graph, const ir::Node& node) {
-  // f32 conv/linear cost is dominated by per-element arithmetic, not
-  // the bytes moved — always worth a pool dispatch.
-  if (node.op == ir::OpKind::kConv2d || node.op == ir::OpKind::kLinear) return kHeavySample;
-  std::size_t bytes = static_cast<std::size_t>(node.type.bytes());
-  for (const int id : node.inputs) {
-    const ir::Node& in = graph.node(id);
-    if (in.is_const()) continue;  // weights/params are shared, not per-sample
-    bytes += static_cast<std::size_t>(in.type.bytes());
-  }
-  return bytes;
-}
-
-std::byte* BatchedExecutor::buffer(int node_id) {
-  return const_cast<std::byte*>(read_buffer(node_id));
-}
-
-const std::byte* BatchedExecutor::read_buffer(int node_id) const {
-  const ir::Node& node = graph_.node(node_id);
-  if (node.is_const()) {
-    switch (node.type.dtype) {
-      case ir::DType::kF32:
-        return reinterpret_cast<const std::byte*>(node.f32_data.data().data());
-      case ir::DType::kI8:
-        return reinterpret_cast<const std::byte*>(node.i8_data.data());
-      case ir::DType::kI32:
-        return reinterpret_cast<const std::byte*>(node.i32_data.data());
-    }
-  }
   const BufferPlacement* b = plan_.find(node_id);
-  if (!b) throw std::logic_error("BatchedExecutor: node has no arena placement");
+  if (!b) throw std::logic_error("Executor: node has no arena placement");
   return arena_.data() + b->offset;
 }
 
-ThreadPool* BatchedExecutor::split_pool(const ir::Node& node, int n) const {
+ThreadPool* Executor::split_pool(const ir::Node& node, int n) const {
   // A dispatch into a spinning pool costs a few µs, which only pays off
   // once the op touches kMinParallelBytes in total (all samples, in
   // sample_io_bytes' real-byte unit); below that the caller runs it
   // alone. Samples, channels and element chunks are all independent,
   // so the split cannot change results.
   if (!pool_) return nullptr;
+  // An in-place pair whose buffers differ in size (quantize and the
+  // global avg pools at capacity 1; the constructor rejects them at
+  // capacity > 1) is safe only in the serial order: one unit's writes
+  // land in input bytes another unit has yet to read.
+  if (const BufferPlacement* b = plan_.find(node.id); b != nullptr && b->alias_of >= 0) {
+    const BufferPlacement* target = plan_.find(b->alias_of);
+    if (target == nullptr || target->size != b->size) return nullptr;
+  }
   const std::size_t per_sample = sample_io_bytes(graph_, node);
   if (per_sample == kHeavySample) return pool_.get();
   return per_sample * static_cast<std::size_t>(n) >= kMinParallelBytes ? pool_.get() : nullptr;
 }
 
-std::vector<Tensor> BatchedExecutor::run_batch(std::span<const Tensor* const> inputs) {
+std::vector<Tensor> Executor::run_batch(std::span<const Tensor* const> inputs) {
   const int n = static_cast<int>(inputs.size());
   if (n < 1 || n > capacity_) {
-    throw std::invalid_argument("BatchedExecutor::run_batch: batch of " + std::to_string(n) +
+    throw std::invalid_argument("Executor::run_batch: batch of " + std::to_string(n) +
                                 " outside [1, capacity " + std::to_string(capacity_) + "]");
   }
   const ir::Node& in_node = graph_.node(graph_.input());
   for (int i = 0; i < n; ++i) {
     if (!(inputs[static_cast<std::size_t>(i)]->shape() == in_node.type.shape)) {
       throw std::invalid_argument(
-          "BatchedExecutor::run_batch: input " + std::to_string(i) + " shape " +
+          "Executor::run_batch: input " + std::to_string(i) + " shape " +
           inputs[static_cast<std::size_t>(i)]->shape().to_string() + " != graph input " +
           in_node.type.shape.to_string());
     }
@@ -671,13 +421,23 @@ std::vector<Tensor> BatchedExecutor::run_batch(std::span<const Tensor* const> in
     std::memcpy(in_buf + static_cast<std::ptrdiff_t>(i) * in_per,
                 inputs[static_cast<std::size_t>(i)]->data().data(), in_per * sizeof(float));
   }
+  if (observer_) {
+    observer_(in_node.id, std::span<const float>(in_buf, static_cast<std::size_t>(n) * in_per));
+  }
 
   obs::Span batch_span("rt.run_batch");
   batch_span.tag("batch", static_cast<long long>(n));
   for (const auto& node : graph_.nodes()) {
     if (node.is_const() || node.op == ir::OpKind::kInput) continue;
-    NodeScope scope(profile_[static_cast<std::size_t>(node.id)], options_.profile);
-    dispatch(node, n);
+    {
+      NodeScope scope(profile_[static_cast<std::size_t>(node.id)], options_.profile);
+      dispatch(node, n);
+    }
+    if (observer_ && node.type.dtype == ir::DType::kF32) {
+      observer_(node.id,
+                std::span<const float>(reinterpret_cast<const float*>(read_buffer(node.id)),
+                                       static_cast<std::size_t>(n) * node.type.shape.numel()));
+    }
   }
 
   const ir::Node& out = graph_.node(graph_.output());
@@ -697,19 +457,19 @@ std::vector<Tensor> BatchedExecutor::run_batch(std::span<const Tensor* const> in
   return results;
 }
 
-std::vector<Tensor> BatchedExecutor::run_batch(std::span<const Tensor> inputs) {
+std::vector<Tensor> Executor::run_batch(std::span<const Tensor> inputs) {
   std::vector<const Tensor*> ptrs;
   ptrs.reserve(inputs.size());
   for (const Tensor& t : inputs) ptrs.push_back(&t);
   return run_batch(std::span<const Tensor* const>(ptrs.data(), ptrs.size()));
 }
 
-Tensor BatchedExecutor::run(const Tensor& input) {
+Tensor Executor::run(const Tensor& input) {
   const Tensor* p = &input;
   return std::move(run_batch(std::span<const Tensor* const>(&p, 1)).front());
 }
 
-void BatchedExecutor::dispatch(const ir::Node& node, int n) {
+void Executor::dispatch(const ir::Node& node, int n) {
   const auto& shape = node.type.shape;
   const std::size_t per_out = shape.numel();  // per-sample elements: graph batch is 1
   ThreadPool* const pool = split_pool(node, n);
@@ -741,7 +501,7 @@ void BatchedExecutor::dispatch(const ir::Node& node, int n) {
   switch (node.op) {
     case ir::OpKind::kConv2d: {
       // One call over all n samples; conv2d_f32 splits each sample's
-      // output channels over the pool, exactly as Executor's call does.
+      // output channels over the pool.
       const Shape& x = in_shape(0);
       const float* bias = node.inputs.size() == 3 ? f32_s(node.inputs[2], 0) : nullptr;
       conv2d_f32(f32_s(node.inputs[0], 0), f32_s(node.inputs[1], 0), bias,
@@ -962,7 +722,7 @@ void BatchedExecutor::dispatch(const ir::Node& node, int n) {
     case ir::OpKind::kConst:
       return;  // handled by the caller
   }
-  throw std::logic_error("BatchedExecutor::dispatch: unhandled op kind");
+  throw std::logic_error("Executor::dispatch: unhandled op kind");
 }
 
 }  // namespace micronas::rt

@@ -1,22 +1,20 @@
 // Deterministic interpreter runtime for compiled ir::Graphs.
 //
-// The Executor walks the node list (which is the schedule) and
-// dispatches one kernel per node. Two buffer modes:
-//
-//   * planned  — all activations live in a single static arena laid out
-//     by rt/memory_planner.hpp; this is the deployment configuration
-//     whose peak the compile report compares against hw/memory_model.
-//   * unplanned — every value gets its own allocation; this is the
-//     naive reference interpreter used for calibration, numerics
-//     validation and as the bench baseline the fused int8 path is
-//     measured against.
+// One Executor walks the node list (which is the schedule) and
+// dispatches one kernel per node over a batch of samples: capacity 1
+// for a single request or calibration, capacity N for a coalesced
+// serving batch. Its buffers follow a memory plan (the deployment
+// arena) or, unplanned, give every value its own storage (the
+// reference layout calibration runs and the planned arena is checked
+// against).
 //
 // Float kernels are deliberately naive direct loops (the reference
 // semantics); the int8 kernels (kernels_int8.hpp) are the optimized
-// deployment path. Inference is bit-identical across repeated runs and
-// thread counts: the thread pool only ever splits work into
-// independent (sample, pixel tile, channel) or (sample, element chunk)
-// pieces, each computed exactly as the serial loop computes it.
+// deployment path. Inference is bit-identical across repeated runs,
+// batch sizes, buffer layouts and thread counts: the thread pool only
+// ever splits work into independent (sample, pixel tile, channel) or
+// (sample, element chunk) pieces, each computed exactly as the serial
+// loop computes it.
 #pragma once
 
 #include <cstdint>
@@ -34,9 +32,8 @@ namespace micronas::rt {
 
 struct ExecOptions {
   /// Lanes of the executor's thread pool (1 = serial, 0 = one per
-  /// hardware thread). Executor splits its convolutions and linear
-  /// layers over them; BatchedExecutor splits every op (see its class
-  /// comment). Results are bit-identical for every setting.
+  /// hardware thread). The executor splits every op over them (see its
+  /// class comment). Results are bit-identical for every setting.
   int threads = 1;
   /// Pre-packed qconv/qlinear weights keyed by this graph's node ids
   /// (compile::CompiledModel::packed, or a package's PACK section) —
@@ -59,73 +56,30 @@ struct OpProfileEntry {
   int node_id = -1;        // -1: node not executed (const/input)
   const char* op = "";     // op_kind_name, static storage
   const char* kernel = ""; // selected kernel variant ("" = fixed-function op)
-  long long bytes = 0;     // per-run output + non-const input bytes (batch 1)
+  long long bytes = 0;     // output + non-const input bytes, per sample
   int strip_h = 0;         // row-strip height when stream-scheduled, else 0
   std::uint64_t calls = 0;
   double total_ms = 0.0;
 };
 
-class Executor {
- public:
-  /// Planned mode: activations at the planner's arena offsets.
-  Executor(const ir::Graph& graph, const MemoryPlan& plan, ExecOptions options = {});
-  /// Unplanned mode: one private buffer per value (naive interpreter).
-  explicit Executor(const ir::Graph& graph, ExecOptions options = {});
-
-  /// Execute the graph on `input` (must match the graph input type;
-  /// f32). Returns the f32 output (the graph must end in a f32 node).
-  Tensor run(const Tensor& input);
-
-  /// Calibration hook: called after each f32-producing step (and for
-  /// the input) with the node id and its output values.
-  using Observer = std::function<void(int node_id, std::span<const float>)>;
-  void set_observer(Observer observer) { observer_ = std::move(observer); }
-
-  /// Arena bytes actually allocated (0 in unplanned mode — buffers are
-  /// per-value; see MemoryPlan::naive_bytes for that total).
-  long long arena_bytes() const { return static_cast<long long>(arena_.size()); }
-
-  /// Per-node attribution + accumulated times, indexed by node id
-  /// (entries with node_id == -1 were not executed). Times are only
-  /// accumulated when ExecOptions::profile is set.
-  const std::vector<OpProfileEntry>& op_profile() const { return profile_; }
-
- private:
-  void prepare();
-  std::byte* buffer(int node_id);
-  const std::byte* read_buffer(int node_id) const;
-  const float* f32_in(int node_id) const;
-  const std::int8_t* i8_in(int node_id) const;
-  void dispatch(const ir::Node& node);
-
-  const ir::Graph& graph_;
-  MemoryPlan plan_;        // empty in unplanned mode
-  bool planned_ = false;
-  ExecOptions options_;
-  std::unique_ptr<ThreadPool> pool_;
-  Observer observer_;
-
-  std::vector<std::byte> arena_;
-  std::vector<std::vector<std::byte>> private_buffers_;  // unplanned mode
-  std::vector<std::int8_t> columns_;                     // im2col scratch
-  std::vector<std::int8_t> stream_scratch_;              // row-strip gather + stage
-  // Per-node Σ_k w[c,k] for kQConv2d / kQLinear, computed once.
-  std::vector<std::vector<std::int32_t>> weight_sums_;
-  // Packed weights the kernel selector dispatches on: the caller's set
-  // (options.packed) or `owned_packed_` built at construction.
-  PackedWeightSet owned_packed_;
-  const PackedWeightSet* packed_ = nullptr;
-  std::vector<OpProfileEntry> profile_;  // indexed by node id
-};
-
-/// One coalesced batch = ONE executor invocation.
+/// The interpreter: one graph walk per call over a batch of
+/// 1..batch_capacity() samples, dispatching one kernel per node.
 ///
-/// Compiles a batch-1 graph at batch capacity N: every activation
-/// buffer (and the arena, planned with MemoryPlanOptions::batch) holds
-/// N samples, and batched qconv/qlinear widen the int8-GEMM M dimension
-/// instead of looping the graph. A partial batch of n < N runs the same
-/// plan with a smaller effective M — each buffer simply uses its first
-/// n sample slots.
+/// The graph is compiled at batch 1 (construction throws
+/// std::invalid_argument otherwise); the capacity N supplies the sample
+/// axis. Every activation buffer holds N samples, and batched
+/// qconv/qlinear widen the int8-GEMM M dimension instead of looping the
+/// graph. A partial batch of n < N runs the same buffers with a smaller
+/// effective M — each buffer simply uses its first n sample slots.
+///
+/// Two buffer layouts, one walk:
+///
+///   * planned — all activations live in a single static arena laid out
+///     by rt/memory_planner.hpp (at MemoryPlanOptions::batch = N); this
+///     is the deployment configuration whose peak the compile report
+///     compares against hw/memory_model.
+///   * unplanned (capacity 1) — every value gets its own storage; the
+///     reference layout calibration runs, with an optional observer.
 ///
 /// Every op splits over the thread pool, batch 1 included: convolutions
 /// over (sample x 64-pixel tile x channel block), pools and per-channel
@@ -135,34 +89,47 @@ class Executor {
 /// the calling thread instead.
 ///
 /// Bit-identity guarantee: sample i of run_batch({x0.., xi, ..}) is
-/// bit-identical to Executor::run(xi) for every batch size, thread
-/// count and slot position, because every per-sample accumulation
-/// order is unchanged from the batch-1 path (asserted by
-/// tests/test_batched_executor.cpp).
-class BatchedExecutor {
+/// bit-identical to a capacity-1 run(xi) for every batch size, thread
+/// count, slot position and buffer layout, because every per-sample
+/// accumulation order is the same (asserted by
+/// tests/test_batched_executor.cpp and tests/test_runtime_int8.cpp).
+class Executor {
  public:
+  /// Planned, capacity 1: activations at `plan`'s arena offsets.
+  Executor(const ir::Graph& graph, MemoryPlan plan, ExecOptions options = {});
+  /// Unplanned, capacity 1: one private buffer per value.
+  explicit Executor(const ir::Graph& graph, ExecOptions options = {});
   /// Plans its own arena at `batch_capacity` (batch-scaled liveness).
-  BatchedExecutor(const ir::Graph& graph, int batch_capacity, ExecOptions options = {},
-                  MemoryPlanOptions plan_options = {});
+  Executor(const ir::Graph& graph, int batch_capacity, ExecOptions options = {},
+           MemoryPlanOptions plan_options = {});
   /// Uses a caller-provided batch-capacity plan (typically
   /// compile::CompiledModel::plan_for_batch). Throws
   /// std::invalid_argument if any placement is not batch_capacity
   /// times its per-sample value size.
-  BatchedExecutor(const ir::Graph& graph, MemoryPlan plan, int batch_capacity,
-                  ExecOptions options = {});
+  Executor(const ir::Graph& graph, MemoryPlan plan, int batch_capacity, ExecOptions options = {});
 
-  /// Execute 1..batch_capacity() inputs (each of the graph's input
-  /// shape) in one graph walk; result i is the logits of input i.
+  /// Execute 1..batch_capacity() inputs (each of the graph's f32 input
+  /// shape) in one graph walk; result i is the f32 logits of input i.
   std::vector<Tensor> run_batch(std::span<const Tensor* const> inputs);
   std::vector<Tensor> run_batch(std::span<const Tensor> inputs);
   /// Single-sample convenience (a batch of one).
   Tensor run(const Tensor& input);
 
+  /// Calibration hook: called for the input and after each
+  /// f32-producing step with the node id and its values for every
+  /// sample of the batch.
+  using Observer = std::function<void(int node_id, std::span<const float>)>;
+  void set_observer(Observer observer) { observer_ = std::move(observer); }
+
   int batch_capacity() const { return capacity_; }
+  /// Activation bytes allocated: the planned arena, or in unplanned
+  /// mode every value's private storage.
   long long arena_bytes() const { return static_cast<long long>(arena_.size()); }
 
-  /// Per-node attribution + accumulated times across run_batch calls
-  /// (see Executor::op_profile; bytes are per sample).
+  /// Per-node attribution + accumulated times across runs, indexed by
+  /// node id (entries with node_id == -1 were not executed; bytes are
+  /// per sample). Times are only accumulated when ExecOptions::profile
+  /// is set.
   const std::vector<OpProfileEntry>& op_profile() const { return profile_; }
 
   /// Bytes an op's dispatch actually touches per sample: output bytes
@@ -193,17 +160,25 @@ class BatchedExecutor {
   ThreadPool* split_pool(const ir::Node& node, int n) const;
 
   const ir::Graph& graph_;
-  MemoryPlan plan_;
+  MemoryPlan plan_;  // unplanned mode: one disjoint slot per value
   int capacity_;
   ExecOptions options_;
   std::unique_ptr<ThreadPool> pool_;
+  Observer observer_;
   std::vector<std::byte> arena_;
   std::vector<std::int8_t> columns_;  // im2col scratch at batch capacity
   std::vector<std::int8_t> stream_scratch_;  // row-strip gather + stage (one sample)
+  // Per-node Σ_k w[c,k] for kQConv2d / kQLinear, computed once.
   std::vector<std::vector<std::int32_t>> weight_sums_;
+  // Packed weights the kernel selector dispatches on: the caller's set
+  // (options.packed) or `owned_packed_` built at construction.
   PackedWeightSet owned_packed_;
   const PackedWeightSet* packed_ = nullptr;
   std::vector<OpProfileEntry> profile_;  // indexed by node id
 };
+
+/// The batch-capacity constructors' former class name, kept as an
+/// alias because the e2ebench/ harness still spells it.
+using BatchedExecutor = Executor;
 
 }  // namespace micronas::rt

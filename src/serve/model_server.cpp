@@ -56,7 +56,7 @@ ModelServer::ModelServer(std::shared_ptr<const compile::CompiledModel> model,
     throw std::invalid_argument("ModelServer: max_wait_us must be >= 0");
   }
   if (options_.per_slot_fanout) {
-    // Legacy path: one planned executor (arena) per batch slot; slot i
+    // Legacy path: one capacity-1 executor (arena) per batch slot; slot i
     // of a batch always runs on lanes_[i], so concurrent requests are
     // isolated by construction.
     lanes_.reserve(static_cast<std::size_t>(options_.max_batch));
@@ -68,10 +68,10 @@ ModelServer::ModelServer(std::shared_ptr<const compile::CompiledModel> model,
     }
     if (options_.max_batch > 1) pool_ = std::make_unique<ThreadPool>(options_.threads);
   } else {
-    // One-invocation path: compile the planned graph at batch capacity
-    // max_batch — the arena holds max_batch samples of every value and
-    // a coalesced batch is a single run_batch call.
-    batched_ = std::make_unique<rt::BatchedExecutor>(
+    // One-invocation path: the executor at batch capacity max_batch —
+    // the arena holds max_batch samples of every value and a coalesced
+    // batch is a single run_batch call.
+    batched_ = std::make_unique<rt::Executor>(
         model_->graph, model_->plan_for_batch(options_.max_batch), options_.max_batch,
         rt::ExecOptions{options_.threads, &model_->packed});
   }

@@ -10,14 +10,14 @@
 // deprecated wrappers — see api.hpp for the taxonomy rationale);
 // the dispatcher coalesces up to `max_batch` queued requests (waiting
 // at most `max_wait_us` after the first one arrived) and dispatches
-// the whole batch as ONE rt::BatchedExecutor::run_batch invocation —
-// the graph is compiled at batch capacity `max_batch`, so a coalesced
-// batch widens the int8-GEMM M dimension instead of fanning out one
-// Executor per request. Every request's logits are bit-identical to a
-// serial Executor run of the same input — batching is a pure
-// throughput optimization, never a numerics change (asserted by
+// the whole batch as ONE rt::Executor::run_batch invocation — the
+// executor runs at batch capacity `max_batch`, so a coalesced batch
+// widens the int8-GEMM M dimension instead of fanning out one walk per
+// request. Every request's logits are bit-identical to a serial
+// capacity-1 run of the same input — batching is a pure throughput
+// optimization, never a numerics change (asserted by
 // tests/test_serve.cpp and tests/test_batched_executor.cpp). The
-// legacy per-slot fan-out (one pre-built Executor per batch slot, run
+// legacy per-slot fan-out (one capacity-1 executor per batch slot, run
 // over the shared ThreadPool) stays available behind
 // ServerOptions::per_slot_fanout so the one-invocation speedup remains
 // measurable (bench/suites/serve.cpp `batched_one_invocation`).
@@ -63,8 +63,8 @@ namespace micronas::serve {
 
 struct ServerOptions {
   /// Most requests coalesced into one batched executor invocation
-  /// (the BatchedExecutor's compiled batch capacity — also its arena
-  /// scale; or, under per_slot_fanout, the number of per-slot arenas).
+  /// (the executor's batch capacity — also its arena scale; or, under
+  /// per_slot_fanout, the number of capacity-1 per-slot executors).
   int max_batch = 8;
   /// How long the dispatcher holds an underfull batch open after its
   /// first request arrived before running it anyway.
@@ -80,8 +80,8 @@ struct ServerOptions {
   /// none. The submit() overload sets a per-request value.
   long long deadline_us = 0;
   /// Legacy batching mode: fan each coalesced batch out over one
-  /// pre-built Executor per slot instead of one BatchedExecutor
-  /// invocation. Kept benchable so the one-invocation speedup claim
+  /// pre-built capacity-1 executor per slot instead of one
+  /// batch-capacity invocation. Kept benchable so the one-invocation speedup claim
   /// stays measurable; numerics are identical either way.
   bool per_slot_fanout = false;
 };
@@ -195,11 +195,11 @@ class ModelServer {
 
   std::shared_ptr<const compile::CompiledModel> model_;
   ServerOptions options_;
-  /// One-invocation path: the graph compiled at batch capacity
-  /// max_batch (arena planned via CompiledModel::plan_for_batch).
-  std::unique_ptr<rt::BatchedExecutor> batched_;
-  /// Legacy fan-out path (per_slot_fanout): slot i of a batch always
-  /// runs on lanes_[i], isolated by construction.
+  /// One-invocation path: the executor at batch capacity max_batch
+  /// (arena planned via CompiledModel::plan_for_batch).
+  std::unique_ptr<rt::Executor> batched_;
+  /// Legacy fan-out path (per_slot_fanout): capacity-1 executors; slot
+  /// i of a batch always runs on lanes_[i], isolated by construction.
   std::unique_ptr<ThreadPool> pool_;
   std::vector<std::unique_ptr<rt::Executor>> lanes_;
 

@@ -3,7 +3,7 @@
 // A MultiModelServer composes the pieces this directory already has:
 // a ModelRegistry (mmap-backed, deduped, zero-copy model handles) and
 // one ModelServer lane per resident model (each lane its own
-// BatchedExecutor, bounded queue, deadlines and admission ledger —
+// Executor, bounded queue, deadlines and admission ledger —
 // exactly the single-model behavior, per model). Requests carry the
 // routing axis themselves (serve::Request::model_key); submit() looks
 // the lane up and forwards, so per-model isolation is structural: one

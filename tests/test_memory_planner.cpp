@@ -230,8 +230,8 @@ TEST(MemoryPlanner, OptimizedPlansAreValidSmallerAndBitIdenticalOn25Genotypes) {
     rt::Executor threaded(tuned.graph, tuned.plan, rt::ExecOptions{3, &tuned.packed});
     expect_bit_identical(threaded.run(input), want, g.to_string() + " threads=3");
 
-    rt::BatchedExecutor batched(tuned.graph, tuned.plan_for_batch(3), 3,
-                                rt::ExecOptions{3, &tuned.packed});
+    rt::Executor batched(tuned.graph, tuned.plan_for_batch(3), 3,
+                         rt::ExecOptions{3, &tuned.packed});
     const std::vector<Tensor> batch = {input, input, input};
     const std::vector<Tensor> logits = batched.run_batch(std::span<const Tensor>(batch));
     for (std::size_t i = 0; i < logits.size(); ++i) {
@@ -286,8 +286,8 @@ TEST(MemoryPlanner, StreamingMeetsHalvedBudgetBitIdentically) {
   // higher — 1.5x the unstreamed batch-1 arena still forces strips.
   rt::MemoryPlanOptions batched_opts = options.plan;
   batched_opts.arena_budget = arena + arena / 2;
-  rt::BatchedExecutor batched(streamed.graph, 2, rt::ExecOptions{1, &streamed.packed},
-                              batched_opts);
+  rt::Executor batched(streamed.graph, 2, rt::ExecOptions{1, &streamed.packed},
+                       batched_opts);
   const std::vector<Tensor> batch = {input, input};
   const std::vector<Tensor> logits = batched.run_batch(std::span<const Tensor>(batch));
   expect_bit_identical(logits[0], want, "streamed batched slot 0");
@@ -301,6 +301,35 @@ TEST(MemoryPlanner, UnreachableBudgetThrows) {
   rt::MemoryPlanOptions options;
   options.arena_budget = 64;
   EXPECT_THROW(rt::plan_memory(g, options), std::runtime_error);
+}
+
+// At capacity 1 the planner lets quantize (f32 -> i8) and the global
+// avg pools overwrite their dying input. Those pairs differ in size, so
+// they are in-place safe only in the serial order: a threaded executor
+// must agree with the serial one bit for bit on every run.
+TEST(MemoryPlanner, ResizingInPlacePairsStayExactUnderThreads) {
+  ir::Graph g;
+  const int x = g.add_input(ir::TensorType{Shape{1, 16, 64, 64}, ir::DType::kF32});
+  const int q = g.add_node(ir::OpKind::kQuantize, {x});
+  g.node(q).quant.out_q = AffineParams{0.05, 3};
+  const int d = g.add_node(ir::OpKind::kDequantize, {q});
+  g.node(d).quant.in_q = g.node(q).quant.out_q;
+  const int gap = g.add_node(ir::OpKind::kGlobalAvgPool, {d});
+  g.set_output(gap);
+  const rt::MemoryPlan plan = rt::plan_memory(g);
+  ASSERT_EQ(plan.find(q)->alias_of, x);
+  ASSERT_EQ(plan.find(gap)->alias_of, d);
+
+  Tensor input(Shape{1, 16, 64, 64});
+  for (std::size_t i = 0; i < input.numel(); ++i) {
+    input[i] = static_cast<float>(i % 97) * 0.07F - 3.0F;
+  }
+  rt::Executor serial(g, plan, rt::ExecOptions{1});
+  const Tensor want = serial.run(input);
+  rt::Executor threaded(g, plan, rt::ExecOptions{4});
+  for (int run = 0; run < 20; ++run) {
+    expect_bit_identical(threaded.run(input), want, "run " + std::to_string(run));
+  }
 }
 
 // The reorder pass is not vacuous: two independent same-size chains

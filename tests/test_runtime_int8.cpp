@@ -294,6 +294,16 @@ TEST(Int8Runtime, ExecutorRejectsNonF32Endpoints) {
   EXPECT_THROW(rt::Executor(i8_out, rt::ExecOptions{1}), std::invalid_argument);
 }
 
+TEST(Int8Runtime, ExecutorRejectsGraphsNotAtBatchOne) {
+  // The executor's batch capacity supplies the sample axis, so the
+  // graph itself must be compiled at batch 1 — in both buffer layouts.
+  ir::Graph g;
+  const int x = g.add_input({Shape{2, 1, 2, 2}, ir::DType::kF32});
+  g.set_output(g.add_node(ir::OpKind::kRelu, {x}));
+  EXPECT_THROW(rt::Executor(g, rt::plan_memory(g), rt::ExecOptions{1}), std::invalid_argument);
+  EXPECT_THROW(rt::Executor(g, rt::ExecOptions{1}), std::invalid_argument);
+}
+
 TEST(Int8Runtime, TracksFloatReferenceLogits) {
   const compile::CompiledModel model = small_compiled();
   compile::CompilerOptions naive;
