@@ -2,13 +2,16 @@
 // round trip, the load-vs-recompile speedup the package format exists
 // to deliver (acceptance bar: >= 5x — loading parses bytes while
 // recompiling re-lowers, re-folds and re-runs PTQ calibration
-// inference), and the batching server's throughput against a serial
-// request loop on the same model and inputs.
+// inference), the batching server's throughput against a serial
+// request loop on the same model and inputs, and the executor-level
+// one-invocation vs per-slot fan-out comparison behind its design.
 #include <chrono>
 #include <cstdio>
+#include <span>
 #include <thread>
 
 #include "bench/suites/common.hpp"
+#include "src/common/thread_pool.hpp"
 #include "src/compile/compiler.hpp"
 #include "src/rt/runtime.hpp"
 #include "src/serialize/serialize.hpp"
@@ -142,18 +145,19 @@ std::vector<Tensor> serve_inputs(int requests, int input_size) {
 /// min wall ms over `reps` bursts.
 double burst_ms(serve::ModelServer& server, const std::vector<Tensor>& inputs, int reps) {
   return min_ms_of(reps, [&] {
-    std::vector<std::future<Tensor>> futures;
+    std::vector<std::future<serve::Response>> futures;
     futures.reserve(inputs.size());
-    for (const Tensor& in : inputs) futures.push_back(server.submit(in));
-    for (std::future<Tensor>& f : futures) bench::do_not_optimize(f.get().numel());
+    for (const Tensor& in : inputs) futures.push_back(server.submit({.input = in}));
+    for (std::future<serve::Response>& f : futures) {
+      bench::do_not_optimize(f.get().logits.numel());
+    }
   });
 }
 
 // Batched server vs a serial request loop, same loaded model and
 // inputs; wall time of the case tracks the batched pass
-// (items_processed counts its requests). The server runs the default
-// one-invocation path (one Executor::run_batch per coalesced
-// batch); pass fanout=1 to bench the legacy per-slot fan-out instead.
+// (items_processed counts its requests). The server runs one
+// Executor::run_batch per coalesced batch.
 // The batched logits are asserted bit-identical to serial in
 // tests/test_serve.cpp and tests/test_batched_executor.cpp; here only
 // the throughput race is measured.
@@ -179,7 +183,6 @@ BENCH_CASE_OPTS(serve, batched_vs_serial,
   sopts.max_batch = max_batch;
   sopts.max_wait_us = 2000;
   sopts.threads = threads;
-  sopts.per_slot_fanout = state.param_int("fanout", 0) != 0;
   serve::ModelServer server(serialize::load_model_bytes(bytes), sopts);
 
   double batched_ms = 1e300;
@@ -194,20 +197,22 @@ BENCH_CASE_OPTS(serve, batched_vs_serial,
   state.set_items_processed(requests);
 }
 
-// The tentpole head-to-head: one-invocation batching (a coalesced
-// batch = ONE Executor::run_batch, int8-GEMM M widened to the
-// whole batch) vs the legacy per-slot fan-out (one capacity-1 Executor
-// per slot over the shared pool) on the same model, inputs and thread
-// budget.
+// Executor-level head-to-head, no server on either side: one-invocation
+// batching (each chunk of max_batch inputs = ONE capacity-max_batch
+// Executor::run_batch, int8-GEMM M widened to the whole chunk) vs
+// per-slot fan-out (max_batch capacity-1 Executors sharing the packed
+// weights, one ThreadPool::parallel_for per chunk, slot i on executor
+// i) on the same model, inputs, chunking and thread budget. The server
+// runs the first; the second is what a serving lane would do instead.
 // batch_speedup = fanout wall / one-invocation wall; > 1 means one
 // widened invocation beats running the graph max_batch times. The
 // default model is deliberately small (input=8): what one-invocation
 // removes is the per-invocation cost (graph walks, kernel launches,
 // pool dispatches), so the case measures the overhead-bound serving
-// regime; on multi-core hosts the margin additionally includes the
-// widened GEMM's better parallel scaling. Each timed rep runs one
-// burst of BOTH contestants, so the case's wall time is their sum; only
-// the counters compare them.
+// regime; on multi-core hosts the margin additionally includes how
+// well each side splits its work over the threads. Each timed rep
+// runs one pass of BOTH contestants, so the case's wall time is their
+// sum; only the counters compare them.
 BENCH_CASE_OPTS(serve, batched_one_invocation,
                 bench::CaseOptions{.warmup = 1, .min_reps = 6, .max_reps = 12, .tier = 1}) {
   const compile::CompilerOptions options = serve_options(state, /*default_input=*/8);
@@ -215,21 +220,35 @@ BENCH_CASE_OPTS(serve, batched_one_invocation,
   const int max_batch = state.param_int("max_batch", 8);
   const int threads = state.param_int("threads", 0);
 
-  const std::vector<std::byte> bytes =
-      serialize::save_model_bytes(compile::compile_genotype(serve_genotype(), options));
+  const compile::CompiledModel model = compile::compile_genotype(serve_genotype(), options);
   const std::vector<Tensor> inputs = serve_inputs(requests, options.macro.input_size);
+  const std::size_t chunk = static_cast<std::size_t>(max_batch);
+  const std::size_t chunks = (inputs.size() + chunk - 1) / chunk;
 
-  serve::ServerOptions sopts;
-  sopts.max_batch = max_batch;
-  sopts.max_wait_us = 2000;
-  sopts.threads = threads;
+  std::vector<std::unique_ptr<rt::Executor>> slots;
+  for (int i = 0; i < max_batch; ++i) {
+    slots.push_back(std::make_unique<rt::Executor>(model.graph, model.plan,
+                                                   rt::ExecOptions{1, &model.packed}));
+  }
+  ThreadPool pool(threads);
+  rt::Executor batched(model.graph, model.plan_for_batch(max_batch), max_batch,
+                       rt::ExecOptions{threads, &model.packed});
 
-  serve::ServerOptions fanout_opts = sopts;
-  fanout_opts.per_slot_fanout = true;
-  serve::ModelServer fanout(serialize::load_model_bytes(bytes), fanout_opts);
-  serve::ModelServer batched(serialize::load_model_bytes(bytes), sopts);
-  burst_ms(fanout, inputs, 1);  // warm
-  burst_ms(batched, inputs, 1);
+  const auto fanout_pass = [&] {
+    for (std::size_t base = 0; base < inputs.size(); base += chunk) {
+      pool.parallel_for(std::min(chunk, inputs.size() - base), [&](std::size_t i) {
+        bench::do_not_optimize(slots[i]->run(inputs[base + i]).numel());
+      });
+    }
+  };
+  const auto batched_pass = [&] {
+    for (std::size_t base = 0; base < inputs.size(); base += chunk) {
+      const std::size_t n = std::min(chunk, inputs.size() - base);
+      bench::do_not_optimize(batched.run_batch(std::span(inputs.data() + base, n)).size());
+    }
+  };
+  fanout_pass();  // warm
+  batched_pass();
 
   // Interleave the contestants inside each rep (min-of-pairs): both
   // sides see the same share of ambient machine noise, so slow drift
@@ -238,14 +257,14 @@ BENCH_CASE_OPTS(serve, batched_one_invocation,
   double fanout_ms = 1e300;
   double batched_ms = 1e300;
   for (auto _ : state) {
-    fanout_ms = std::min(fanout_ms, burst_ms(fanout, inputs, 1));
-    batched_ms = std::min(batched_ms, burst_ms(batched, inputs, 1));
+    fanout_ms = std::min(fanout_ms, min_ms_of(1, fanout_pass));
+    batched_ms = std::min(batched_ms, min_ms_of(1, batched_pass));
   }
 
   state.counter("fanout_rps", 1000.0 * requests / fanout_ms);
   state.counter("one_invocation_rps", 1000.0 * requests / batched_ms);
   state.counter("batch_speedup", fanout_ms / batched_ms);
-  state.counter("mean_batch", batched.stats().mean_batch);
+  state.counter("mean_batch", static_cast<double>(requests) / static_cast<double>(chunks));
   state.set_items_processed(requests);
 }
 
@@ -323,18 +342,18 @@ BENCH_CASE_OPTS(serve, serve_overload,
   long long rejected = 0;
   long long served = 0;
   for (auto _ : state) {
-    std::vector<std::future<Tensor>> futures;
+    std::vector<std::future<serve::Response>> futures;
     futures.reserve(inputs.size());
     for (const Tensor& in : inputs) {
       try {
-        futures.push_back(server.submit(in));
+        futures.push_back(server.submit({.input = in}));
       } catch (const serve::QueueFullError&) {
         ++rejected;
       }
     }
-    for (std::future<Tensor>& f : futures) {
+    for (std::future<serve::Response>& f : futures) {
       try {
-        bench::do_not_optimize(f.get().numel());
+        bench::do_not_optimize(f.get().logits.numel());
         ++served;
       } catch (const serve::DeadlineExpiredError&) {
       }

@@ -59,6 +59,11 @@ echo "== smoke: bench_runner (eval_engine, small) =="
   --out "$BUILD_DIR/BENCH_smoke.json"
 echo "bench_runner OK"
 
+echo "== smoke: bench_runner (serve batching cases, small) =="
+"./$BUILD_DIR/bench_runner" --filter serve.batched --set requests=16 \
+  --out "$BUILD_DIR/BENCH_serve_smoke.json" >/dev/null
+echo "serve batching bench OK"
+
 echo "== smoke: bench_compare (self-compare passes) =="
 "./$BUILD_DIR/bench_compare" "$BUILD_DIR/BENCH_smoke.json" "$BUILD_DIR/BENCH_smoke.json" \
   --threshold 0.25 >/dev/null

@@ -2,14 +2,12 @@
 // error taxonomy, shared by ModelServer (single model) and
 // MultiModelServer (registry-routed).
 //
-// History: submit() grew by overload — submit(x), then
-// submit(x, deadline_us) — and the next axis (which model?) would have
-// doubled the set again. serve::Request names every axis instead, so
-// new ones are an aggregate field, not an overload; serve::Response
-// carries the logits plus the per-request timing the old Tensor future
-// silently discarded. The legacy overloads survive as thin deprecated
-// wrappers over the typed call (see model_server.hpp) so existing
-// clients and tests compile unchanged.
+// Request/Response is the only submit surface of both servers:
+// submit() and infer() take a serve::Request and yield a
+// serve::Response. Request names every axis (input, deadline, model
+// key), so a new axis is one more aggregate field rather than another
+// submit() overload per combination; Response carries the logits plus
+// the per-request timing the server measures anyway.
 //
 // Errors form one taxonomy rooted at ServeError (itself a
 // std::runtime_error, so pre-taxonomy clients that caught
@@ -60,16 +58,17 @@ class UnknownModelError : public ServeError {
 };
 
 /// One inference request, every axis named. Extend by adding fields —
-/// never by adding submit() overloads.
+/// never by adding submit() overloads. Every field but `input` has a
+/// default, so `submit({.input = x})` names only what it sets.
 struct Request {
   Tensor input;
   /// Deadline measured from submit(), in microseconds. nullopt defers
   /// to ServerOptions::deadline_us; values <= 0 are already expired (a
   /// guaranteed drop — tests use this for deterministic coverage).
-  std::optional<long long> deadline_us;
+  std::optional<long long> deadline_us{};
   /// Which model serves this request. Ignored by a single-model
   /// ModelServer; required routing key for MultiModelServer.
-  std::string model_key;
+  std::string model_key{};
 };
 
 /// What the future resolves to: logits plus the per-request timing the

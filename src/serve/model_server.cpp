@@ -1,28 +1,15 @@
 #include "src/serve/model_server.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <span>
 #include <sstream>
 #include <stdexcept>
 
 #include "src/obs/trace.hpp"
+#include "src/stats/summary.hpp"
 
 namespace micronas::serve {
-
-namespace {
-
-double percentile(const std::vector<double>& sorted, double q) {
-  if (sorted.empty()) return 0.0;
-  const double pos = q * static_cast<double>(sorted.size() - 1);
-  const std::size_t lo = static_cast<std::size_t>(pos);
-  const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
-  const double frac = pos - static_cast<double>(lo);
-  return sorted[lo] + (sorted[hi] - sorted[lo]) * frac;
-}
-
-}  // namespace
 
 std::string ServerStats::to_string() const {
   std::ostringstream ss;
@@ -55,26 +42,13 @@ ModelServer::ModelServer(std::shared_ptr<const compile::CompiledModel> model,
   if (options_.max_wait_us < 0) {
     throw std::invalid_argument("ModelServer: max_wait_us must be >= 0");
   }
-  if (options_.per_slot_fanout) {
-    // Legacy path: one capacity-1 executor (arena) per batch slot; slot i
-    // of a batch always runs on lanes_[i], so concurrent requests are
-    // isolated by construction.
-    lanes_.reserve(static_cast<std::size_t>(options_.max_batch));
-    for (int i = 0; i < options_.max_batch; ++i) {
-      // The model's package-built packed weights flow into every lane:
-      // the server never repacks, no matter how many executors it runs.
-      lanes_.push_back(std::make_unique<rt::Executor>(model_->graph, model_->plan,
-                                                      rt::ExecOptions{1, &model_->packed}));
-    }
-    if (options_.max_batch > 1) pool_ = std::make_unique<ThreadPool>(options_.threads);
-  } else {
-    // One-invocation path: the executor at batch capacity max_batch —
-    // the arena holds max_batch samples of every value and a coalesced
-    // batch is a single run_batch call.
-    batched_ = std::make_unique<rt::Executor>(
-        model_->graph, model_->plan_for_batch(options_.max_batch), options_.max_batch,
-        rt::ExecOptions{options_.threads, &model_->packed});
-  }
+  // The executor at batch capacity max_batch: the arena holds max_batch
+  // samples of every value and a coalesced batch is a single run_batch
+  // call. The model's package-built packed weights flow straight in —
+  // the server never repacks.
+  executor_ = std::make_unique<rt::Executor>(
+      model_->graph, model_->plan_for_batch(options_.max_batch), options_.max_batch,
+      rt::ExecOptions{options_.threads, &model_->packed});
   dispatcher_ = std::thread([this] { dispatcher_loop(); });
 }
 
@@ -84,35 +58,15 @@ std::future<Response> ModelServer::submit(Request request) {
   Pending pending;
   pending.input = std::move(request.input);
   pending.model_key = std::move(request.model_key);
-  pending.typed = true;
-  std::future<Response> result = pending.response_promise.get_future();
+  std::future<Response> result = pending.promise.get_future();
+  pending.enqueued = std::chrono::steady_clock::now();
   // An explicit deadline (even <= 0: already expired) always binds;
   // nullopt defers to the server-wide default.
   const bool has_deadline = request.deadline_us.has_value() || options_.deadline_us > 0;
-  enqueue(std::move(pending), has_deadline, request.deadline_us.value_or(options_.deadline_us));
-  return result;
-}
-
-std::future<Tensor> ModelServer::submit(Tensor input) {
-  Pending pending;
-  pending.input = std::move(input);
-  std::future<Tensor> result = pending.tensor_promise.get_future();
-  enqueue(std::move(pending), options_.deadline_us > 0, options_.deadline_us);
-  return result;
-}
-
-std::future<Tensor> ModelServer::submit(Tensor input, long long deadline_us) {
-  Pending pending;
-  pending.input = std::move(input);
-  std::future<Tensor> result = pending.tensor_promise.get_future();
-  enqueue(std::move(pending), true, deadline_us);
-  return result;
-}
-
-void ModelServer::enqueue(Pending pending, bool has_deadline, long long deadline_us) {
-  pending.enqueued = std::chrono::steady_clock::now();
-  pending.deadline = has_deadline ? pending.enqueued + std::chrono::microseconds(deadline_us)
-                                  : std::chrono::steady_clock::time_point::max();
+  pending.deadline =
+      has_deadline ? pending.enqueued + std::chrono::microseconds(
+                                            request.deadline_us.value_or(options_.deadline_us))
+                   : std::chrono::steady_clock::time_point::max();
   {
     std::lock_guard<std::mutex> lock(mutex_);
     if (stopping_) throw std::runtime_error("ModelServer::submit: server is stopped");
@@ -131,13 +85,14 @@ void ModelServer::enqueue(Pending pending, bool has_deadline, long long deadline
     queue_.push_back(std::move(pending));
   }
   wake_.notify_all();
+  return result;
 }
 
 void ModelServer::stop() {
   // Claim the thread under the lock: of racing stop() calls (e.g. an
   // explicit stop against the destructor) exactly one gets a joinable
   // handle and joins it. Losers must NOT return early — the dispatcher
-  // may still be draining queue_ and touching batched_/lanes_/pool_,
+  // may still be draining queue_ and running executor_,
   // and the losing caller could be the destructor — so they block on
   // dispatcher_done_, which the winner flags after its join. Every
   // stop() therefore returns only once the queue is drained and the
@@ -216,7 +171,7 @@ void ModelServer::dispatcher_loop() {
     // Promises resolve outside the lock; dropped_ was already counted,
     // so a client that observed the error also observes the counter.
     for (Pending& req : dropped) {
-      req.fail(std::make_exception_ptr(DeadlineExpiredError(
+      req.promise.set_exception(std::make_exception_ptr(DeadlineExpiredError(
           "ModelServer: request deadline expired before a batch picked it up")));
     }
     if (!batch.empty()) run_batch(batch);
@@ -230,50 +185,31 @@ void ModelServer::run_batch(std::vector<Pending>& batch) {
   const auto dispatched = std::chrono::steady_clock::now();
   std::vector<Tensor> results(batch.size());
   std::vector<std::exception_ptr> errors(batch.size());
-  if (batched_) {
-    // ONE executor invocation for the whole coalesced batch. Requests
-    // with a bad input shape fail individually (their future rethrows)
-    // without poisoning the batch for everyone else.
-    const ir::Node& in_node = model_->graph.node(model_->graph.input());
-    std::vector<const Tensor*> good;
-    std::vector<std::size_t> slot;  // good index -> batch index
-    good.reserve(batch.size());
-    slot.reserve(batch.size());
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      if (batch[i].input.shape() == in_node.type.shape) {
-        good.push_back(&batch[i].input);
-        slot.push_back(i);
-      } else {
-        errors[i] = std::make_exception_ptr(std::invalid_argument(
-            "ModelServer: input shape " + batch[i].input.shape().to_string() +
-            " != model input " + in_node.type.shape.to_string()));
-      }
-    }
-    if (!good.empty()) {
-      try {
-        std::vector<Tensor> logits =
-            batched_->run_batch(std::span<const Tensor* const>(good.data(), good.size()));
-        for (std::size_t g = 0; g < logits.size(); ++g) {
-          results[slot[g]] = std::move(logits[g]);
-        }
-      } catch (...) {
-        for (std::size_t g = 0; g < slot.size(); ++g) {
-          errors[slot[g]] = std::current_exception();
-        }
-      }
-    }
-  } else {
-    const auto run_one = [this, &batch, &results, &errors](std::size_t i) {
-      try {
-        results[i] = lanes_[i]->run(batch[i].input);
-      } catch (...) {
-        errors[i] = std::current_exception();
-      }
-    };
-    if (pool_ && batch.size() > 1) {
-      pool_->parallel_for(batch.size(), run_one);
+  // ONE executor invocation for the whole coalesced batch. Requests
+  // with a bad input shape fail individually (their future rethrows)
+  // without poisoning the batch for everyone else.
+  const ir::Node& in_node = model_->graph.node(model_->graph.input());
+  std::vector<const Tensor*> good;
+  std::vector<std::size_t> slot;  // good index -> batch index
+  good.reserve(batch.size());
+  slot.reserve(batch.size());
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    if (batch[i].input.shape() == in_node.type.shape) {
+      good.push_back(&batch[i].input);
+      slot.push_back(i);
     } else {
-      for (std::size_t i = 0; i < batch.size(); ++i) run_one(i);
+      errors[i] = std::make_exception_ptr(std::invalid_argument(
+          "ModelServer: input shape " + batch[i].input.shape().to_string() +
+          " != model input " + in_node.type.shape.to_string()));
+    }
+  }
+  if (!good.empty()) {
+    try {
+      std::vector<Tensor> logits =
+          executor_->run_batch(std::span<const Tensor* const>(good.data(), good.size()));
+      for (std::size_t g = 0; g < logits.size(); ++g) results[slot[g]] = std::move(logits[g]);
+    } catch (...) {
+      for (std::size_t g = 0; g < slot.size(); ++g) errors[slot[g]] = std::current_exception();
     }
   }
 
@@ -300,8 +236,8 @@ void ModelServer::run_batch(std::vector<Pending>& batch) {
   }
   for (std::size_t i = 0; i < batch.size(); ++i) {
     if (errors[i]) {
-      batch[i].fail(errors[i]);
-    } else if (batch[i].typed) {
+      batch[i].promise.set_exception(errors[i]);
+    } else {
       Response resp;
       resp.logits = std::move(results[i]);
       resp.model_key = std::move(batch[i].model_key);
@@ -309,19 +245,17 @@ void ModelServer::run_batch(std::vector<Pending>& batch) {
           std::chrono::duration<double, std::milli>(dispatched - batch[i].enqueued).count();
       resp.total_ms = std::chrono::duration<double, std::milli>(done - batch[i].enqueued).count();
       resp.batch_size = static_cast<int>(batch.size());
-      batch[i].response_promise.set_value(std::move(resp));
-    } else {
-      batch[i].tensor_promise.set_value(std::move(results[i]));
+      batch[i].promise.set_value(std::move(resp));
     }
   }
 }
 
 ServerStats ModelServer::stats() const {
-  std::vector<double> sorted;
+  std::vector<double> samples;
   ServerStats s;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    sorted = latency_ms_;
+    samples = latency_ms_;
     s.requests = completed_;
     s.accepted = accepted_;
     s.rejected = rejected_;
@@ -333,13 +267,16 @@ ServerStats ModelServer::stats() const {
       s.throughput_rps = span > 0.0 ? static_cast<double>(completed_) / span : 0.0;
     }
   }
-  std::sort(sorted.begin(), sorted.end());
   s.mean_batch = s.batches > 0 ? static_cast<double>(s.requests) / static_cast<double>(s.batches)
                                : 0.0;
-  s.p50_ms = percentile(sorted, 0.50);
-  s.p90_ms = percentile(sorted, 0.90);
-  s.p99_ms = percentile(sorted, 0.99);
-  s.max_ms = sorted.empty() ? 0.0 : sorted.back();
+  // stats::percentile throws on no samples; a server that has served
+  // nothing reports zeros.
+  if (!samples.empty()) {
+    s.p50_ms = stats::percentile(samples, 50.0);
+    s.p90_ms = stats::percentile(samples, 90.0);
+    s.p99_ms = stats::percentile(samples, 99.0);
+    s.max_ms = *std::max_element(samples.begin(), samples.end());
+  }
   return s;
 }
 

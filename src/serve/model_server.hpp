@@ -4,30 +4,25 @@
 //
 // A ModelServer serves one immutable CompiledModel (shared_ptr —
 // typically a registry entry aliased to its mapped package) through a
-// request queue and a dispatcher thread. Clients submit a typed
+// request queue and a dispatcher thread. Clients submit a
 // serve::Request and get a std::future<serve::Response> (logits +
-// per-request timing; the legacy Tensor-future overloads remain as
-// deprecated wrappers — see api.hpp for the taxonomy rationale);
-// the dispatcher coalesces up to `max_batch` queued requests (waiting
-// at most `max_wait_us` after the first one arrived) and dispatches
-// the whole batch as ONE rt::Executor::run_batch invocation — the
-// executor runs at batch capacity `max_batch`, so a coalesced batch
-// widens the int8-GEMM M dimension instead of fanning out one walk per
-// request. Every request's logits are bit-identical to a serial
-// capacity-1 run of the same input — batching is a pure throughput
-// optimization, never a numerics change (asserted by
-// tests/test_serve.cpp and tests/test_batched_executor.cpp). The
-// legacy per-slot fan-out (one capacity-1 executor per batch slot, run
-// over the shared ThreadPool) stays available behind
-// ServerOptions::per_slot_fanout so the one-invocation speedup remains
-// measurable (bench/suites/serve.cpp `batched_one_invocation`).
+// per-request timing; see api.hpp). The dispatcher coalesces up to
+// `max_batch` queued requests (waiting at most `max_wait_us` after the
+// first one arrived) and runs the whole batch as ONE
+// rt::Executor::run_batch invocation — the server's single executor
+// runs at batch capacity `max_batch`, so a coalesced batch widens the
+// int8-GEMM M dimension instead of walking the graph once per request.
+// Every request's logits are bit-identical to a serial capacity-1 run
+// of the same input — batching is a pure throughput optimization,
+// never a numerics change (asserted by tests/test_serve.cpp and
+// tests/test_batched_executor.cpp).
 //
 // Admission control bounds the server under overload:
 //
 //   * a bounded queue (`max_queue`): submit() on a full queue throws
 //     QueueFullError synchronously — offered load past capacity is
 //     turned away at the door, not buffered without bound;
-//   * per-request deadlines (`deadline_us`, or the submit() overload):
+//   * per-request deadlines (`deadline_us`, or Request::deadline_us):
 //     a request still queued when its deadline passes is dropped by
 //     the dispatcher and its future rethrows DeadlineExpiredError;
 //   * exact accepted/rejected/dropped counters in ServerStats — every
@@ -53,7 +48,6 @@
 #include <thread>
 #include <vector>
 
-#include "src/common/thread_pool.hpp"
 #include "src/compile/compiler.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/rt/runtime.hpp"
@@ -63,8 +57,7 @@ namespace micronas::serve {
 
 struct ServerOptions {
   /// Most requests coalesced into one batched executor invocation
-  /// (the executor's batch capacity — also its arena scale; or, under
-  /// per_slot_fanout, the number of capacity-1 per-slot executors).
+  /// (the executor's batch capacity — also its arena scale).
   int max_batch = 8;
   /// How long the dispatcher holds an underfull batch open after its
   /// first request arrived before running it anyway.
@@ -77,13 +70,8 @@ struct ServerOptions {
   /// past it throws QueueFullError. 0 = unbounded.
   std::size_t max_queue = 1024;
   /// Default per-request deadline, measured from submit(); <= 0 means
-  /// none. The submit() overload sets a per-request value.
+  /// none. Request::deadline_us overrides it per request.
   long long deadline_us = 0;
-  /// Legacy batching mode: fan each coalesced batch out over one
-  /// pre-built capacity-1 executor per slot instead of one
-  /// batch-capacity invocation. Kept benchable so the one-invocation speedup claim
-  /// stays measurable; numerics are identical either way.
-  bool per_slot_fanout = false;
 };
 
 struct ServerStats {
@@ -121,29 +109,17 @@ class ModelServer {
   ModelServer(const ModelServer&) = delete;
   ModelServer& operator=(const ModelServer&) = delete;
 
-  /// The typed API: enqueue one Request (input must match the model's
-  /// input shape). The future yields a Response (logits + per-request
-  /// timing), or rethrows the executor's error or
-  /// DeadlineExpiredError. Throws QueueFullError when the bounded
-  /// queue is full and std::runtime_error after stop().
+  /// Enqueue one Request (input must match the model's input shape).
+  /// The future yields a Response (logits + per-request timing), or
+  /// rethrows the executor's error or DeadlineExpiredError. Throws
+  /// QueueFullError when the bounded queue is full and
+  /// std::runtime_error after stop().
   /// Request::model_key is echoed into the Response; a single-model
   /// server does not route on it (MultiModelServer does).
   std::future<Response> submit(Request request);
 
-  /// Deprecated: legacy overload, equivalent to
-  /// submit(Request{input, nullopt, ""}) with the Response reduced to
-  /// its logits. Prefer the typed submit(Request).
-  std::future<Tensor> submit(Tensor input);
-
-  /// Deprecated: legacy overload, equivalent to submit(Request{input,
-  /// deadline_us, ""}) with the Response reduced to its logits (zero
-  /// or negative deadlines are already expired — a guaranteed drop,
-  /// which tests use for deterministic drop coverage). Prefer the
-  /// typed submit(Request).
-  std::future<Tensor> submit(Tensor input, long long deadline_us);
-
   /// Blocking convenience wrapper around submit().
-  Tensor infer(const Tensor& input) { return submit(input).get(); }
+  Response infer(Request request) { return submit(std::move(request)).get(); }
 
   /// Drain the queue, finish in-flight batches and join the
   /// dispatcher; queued requests whose deadline has passed are dropped
@@ -163,29 +139,16 @@ class ModelServer {
   const std::shared_ptr<const compile::CompiledModel>& model_ptr() const { return model_; }
 
  private:
-  /// A queued request: the union of both submit surfaces. Exactly one
-  /// promise is live, per `typed`; resolve()/fail() pick it.
+  /// A queued request.
   struct Pending {
     Tensor input;
     std::string model_key;
-    bool typed = false;                   // which promise to resolve
-    std::promise<Response> response_promise;
-    std::promise<Tensor> tensor_promise;
+    std::promise<Response> promise;
     std::chrono::steady_clock::time_point enqueued;
     // time_point::max() = no deadline.
     std::chrono::steady_clock::time_point deadline;
-
-    void fail(std::exception_ptr error) {
-      if (typed) {
-        response_promise.set_exception(std::move(error));
-      } else {
-        tensor_promise.set_exception(std::move(error));
-      }
-    }
   };
 
-  /// Admission control + enqueue, shared by every submit surface.
-  void enqueue(Pending pending, bool has_deadline, long long deadline_us);
   void dispatcher_loop();
   void run_batch(std::vector<Pending>& batch);
   /// Move deadline-expired requests out of queue_ into `dropped`,
@@ -195,13 +158,9 @@ class ModelServer {
 
   std::shared_ptr<const compile::CompiledModel> model_;
   ServerOptions options_;
-  /// One-invocation path: the executor at batch capacity max_batch
-  /// (arena planned via CompiledModel::plan_for_batch).
-  std::unique_ptr<rt::Executor> batched_;
-  /// Legacy fan-out path (per_slot_fanout): capacity-1 executors; slot
-  /// i of a batch always runs on lanes_[i], isolated by construction.
-  std::unique_ptr<ThreadPool> pool_;
-  std::vector<std::unique_ptr<rt::Executor>> lanes_;
+  /// The executor at batch capacity max_batch (arena planned via
+  /// CompiledModel::plan_for_batch); only the dispatcher runs it.
+  std::unique_ptr<rt::Executor> executor_;
 
   mutable std::mutex mutex_;
   std::condition_variable wake_;

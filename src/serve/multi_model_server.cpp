@@ -13,12 +13,15 @@ std::string MultiModelServer::load(const std::string& path) {
   // Registry first: mmap + validate + dedupe. Throws on corruption
   // before any lane state changes.
   const ModelRegistry::Entry entry = registry_.load(path);
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (lanes_.find(entry.key) == lanes_.end()) {
-    // The lane's shared model handle is aliased to the mapped package:
-    // while this server (or any in-flight batch) lives, so do the
-    // bytes its weights point into.
-    lanes_.emplace(entry.key, std::make_shared<ModelServer>(entry.model, options_));
+  if (has_lane(entry.key)) return entry.key;
+  // Build the lane (batch plan, arena, dispatcher thread) outside the
+  // routing lock so submit() to every other model keeps flowing. Its
+  // shared model handle is aliased to the mapped package: while this
+  // server (or any in-flight batch) lives, so do the bytes its weights
+  // point into.
+  auto server = std::make_shared<ModelServer>(entry.model, options_);
+  if (!insert_lane(entry.key, server)) {
+    server->stop();  // lost a race to a concurrent load(); outside the lock too
   }
   return entry.key;
 }
@@ -26,17 +29,27 @@ std::string MultiModelServer::load(const std::string& path) {
 void MultiModelServer::add_model(const std::string& key,
                                  std::shared_ptr<const compile::CompiledModel> model) {
   if (key.empty()) throw std::invalid_argument("MultiModelServer: empty model key");
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (lanes_.find(key) != lanes_.end()) {
+  auto server = std::make_shared<ModelServer>(std::move(model), options_);
+  if (!insert_lane(key, server)) {
+    server->stop();  // outside the lock, like load()
     throw std::invalid_argument("MultiModelServer: key '" + key + "' already serving");
   }
-  lanes_.emplace(key, std::make_shared<ModelServer>(std::move(model), options_));
+}
+
+bool MultiModelServer::has_lane(const std::string& key) const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return servers_.find(key) != servers_.end();
+}
+
+bool MultiModelServer::insert_lane(const std::string& key, std::shared_ptr<ModelServer> server) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return servers_.emplace(key, std::move(server)).second;
 }
 
 std::shared_ptr<ModelServer> MultiModelServer::lane(const std::string& key) const {
   std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = lanes_.find(key);
-  if (it == lanes_.end()) {
+  const auto it = servers_.find(key);
+  if (it == servers_.end()) {
     throw UnknownModelError("MultiModelServer: no lane for model key '" + key + "'");
   }
   return it->second;
@@ -51,12 +64,12 @@ void MultiModelServer::unload(const std::string& key) {
   std::shared_ptr<ModelServer> server;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = lanes_.find(key);
-    if (it == lanes_.end()) {
+    const auto it = servers_.find(key);
+    if (it == servers_.end()) {
       throw UnknownModelError("MultiModelServer: no lane for model key '" + key + "'");
     }
     server = std::move(it->second);
-    lanes_.erase(it);
+    servers_.erase(it);
   }
   // Drain outside the lock: other models keep serving while this lane
   // finishes its queue.
@@ -68,8 +81,8 @@ void MultiModelServer::stop() {
   std::vector<std::shared_ptr<ModelServer>> snapshot;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    snapshot.reserve(lanes_.size());
-    for (const auto& [key, server] : lanes_) snapshot.push_back(server);
+    snapshot.reserve(servers_.size());
+    for (const auto& [key, server] : servers_) snapshot.push_back(server);
   }
   for (const std::shared_ptr<ModelServer>& server : snapshot) server->stop();
 }
@@ -79,8 +92,8 @@ ServerStats MultiModelServer::stats(const std::string& key) const { return lane(
 std::vector<std::string> MultiModelServer::keys() const {
   std::lock_guard<std::mutex> lock(mutex_);
   std::vector<std::string> out;
-  out.reserve(lanes_.size());
-  for (const auto& [key, server] : lanes_) out.push_back(key);
+  out.reserve(servers_.size());
+  for (const auto& [key, server] : servers_) out.push_back(key);
   return out;
 }
 

@@ -40,8 +40,10 @@ class MultiModelServer {
   /// Load the package at `path` through the registry (mmap + validate
   /// + dedupe) and open a serving lane for it if one isn't already
   /// running. Returns the model key requests should carry. Safe to
-  /// call for an already-served package: the registry dedupes and the
-  /// existing lane is reused.
+  /// call for an already-served package, and concurrently: the
+  /// registry dedupes, the existing lane is reused, and the lane is
+  /// built outside the routing lock so submit() to other models never
+  /// waits on it.
   std::string load(const std::string& path);
 
   /// Serve an already-built model under an explicit key (tests, or
@@ -83,11 +85,15 @@ class MultiModelServer {
   /// outside, so a concurrent unload() can never free a server
   /// mid-call (shared_ptr pins it; stop() is idempotent and safe).
   std::shared_ptr<ModelServer> lane(const std::string& key) const;
+  bool has_lane(const std::string& key) const;
+  /// Insert a lane built outside the lock; false (and no change) when
+  /// `key` already has one — the caller stops its spare lane unlocked.
+  bool insert_lane(const std::string& key, std::shared_ptr<ModelServer> server);
 
   ServerOptions options_;
   ModelRegistry registry_;
-  mutable std::mutex mutex_;  // guards lanes_ (table shape, not the servers)
-  std::map<std::string, std::shared_ptr<ModelServer>> lanes_;
+  mutable std::mutex mutex_;  // guards servers_ (table shape, not the servers)
+  std::map<std::string, std::shared_ptr<ModelServer>> servers_;  // key -> lane
 };
 
 }  // namespace micronas::serve

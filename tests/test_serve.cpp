@@ -57,10 +57,10 @@ TEST(ModelServer, BatchedLogitsEqualSerialLogits) {
   options.max_wait_us = 200;
   options.threads = 3;
   serve::ModelServer server(compiled_small(), options);
-  std::vector<std::future<Tensor>> futures;
-  for (const Tensor& in : inputs) futures.push_back(server.submit(in));
+  std::vector<std::future<serve::Response>> futures;
+  for (const Tensor& in : inputs) futures.push_back(server.submit({.input = in}));
   for (std::size_t i = 0; i < futures.size(); ++i) {
-    expect_bit_identical(futures[i].get(), expected[i],
+    expect_bit_identical(futures[i].get().logits, expected[i],
                          "request " + std::to_string(i) + " (batched vs serial)");
   }
 
@@ -90,7 +90,7 @@ TEST(ModelServer, ServesAReloadedPackageBitExactly) {
   options.threads = 2;
   serve::ModelServer server(serialize::load_model_bytes(bytes), options);
   for (std::size_t i = 0; i < inputs.size(); ++i) {
-    expect_bit_identical(server.infer(inputs[i]), expected[i],
+    expect_bit_identical(server.infer({.input = inputs[i]}).logits, expected[i],
                          "reloaded request " + std::to_string(i));
   }
 }
@@ -103,9 +103,9 @@ TEST(ModelServer, CoalescesConcurrentClientsIntoBatches) {
   serve::ModelServer server(compiled_small(), options);
 
   const std::vector<Tensor> inputs = sample_inputs(16, 3);
-  std::vector<std::future<Tensor>> futures;
-  for (const Tensor& in : inputs) futures.push_back(server.submit(in));
-  for (std::future<Tensor>& f : futures) f.get();
+  std::vector<std::future<serve::Response>> futures;
+  for (const Tensor& in : inputs) futures.push_back(server.submit({.input = in}));
+  for (std::future<serve::Response>& f : futures) f.get();
 
   const serve::ServerStats stats = server.stats();
   EXPECT_EQ(stats.requests, 16);
@@ -118,7 +118,7 @@ TEST(ModelServer, CoalescesConcurrentClientsIntoBatches) {
 
 TEST(ModelServer, RejectsWrongInputShape) {
   serve::ModelServer server(compiled_small(), {});
-  std::future<Tensor> bad = server.submit(Tensor(Shape{1, 3, 4, 4}));
+  std::future<serve::Response> bad = server.submit({.input = Tensor(Shape{1, 3, 4, 4})});
   EXPECT_THROW(bad.get(), std::invalid_argument);
 }
 
@@ -134,8 +134,8 @@ TEST(ModelServer, EveryConcurrentStopWaitsForTheDrain) {
   options.max_wait_us = 1'000'000;  // stop() must cut the wait short
   serve::ModelServer server(compiled_small(), options);
   const std::vector<Tensor> inputs = sample_inputs(6, 23);
-  std::vector<std::future<Tensor>> futures;
-  for (const Tensor& in : inputs) futures.push_back(server.submit(in));
+  std::vector<std::future<serve::Response>> futures;
+  for (const Tensor& in : inputs) futures.push_back(server.submit({.input = in}));
 
   std::vector<long long> seen(4, -1);
   std::vector<std::thread> stoppers;
@@ -149,7 +149,7 @@ TEST(ModelServer, EveryConcurrentStopWaitsForTheDrain) {
   for (std::size_t t = 0; t < seen.size(); ++t) {
     EXPECT_EQ(seen[t], 6) << "stop() caller " << t << " returned before the queue drained";
   }
-  for (std::future<Tensor>& f : futures) EXPECT_GT(f.get().numel(), 0u);
+  for (std::future<serve::Response>& f : futures) EXPECT_GT(f.get().logits.numel(), 0u);
 }
 
 TEST(ModelServer, StopDrainsPendingRequests) {
@@ -158,11 +158,11 @@ TEST(ModelServer, StopDrainsPendingRequests) {
   options.max_wait_us = 1'000'000;  // stop() must cut the wait short
   serve::ModelServer server(compiled_small(), options);
   const std::vector<Tensor> inputs = sample_inputs(3, 17);
-  std::vector<std::future<Tensor>> futures;
-  for (const Tensor& in : inputs) futures.push_back(server.submit(in));
+  std::vector<std::future<serve::Response>> futures;
+  for (const Tensor& in : inputs) futures.push_back(server.submit({.input = in}));
   server.stop();
-  for (std::future<Tensor>& f : futures) EXPECT_GT(f.get().numel(), 0u);
-  EXPECT_THROW(server.submit(inputs[0]), std::runtime_error);
+  for (std::future<serve::Response>& f : futures) EXPECT_GT(f.get().logits.numel(), 0u);
+  EXPECT_THROW(server.submit({.input = inputs[0]}), std::runtime_error);
   EXPECT_EQ(server.stats().requests, 3);
 }
 

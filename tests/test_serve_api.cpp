@@ -8,16 +8,20 @@
 //     serve::ServeError (and std::runtime_error for legacy callers);
 //   * MultiModelServer routes on Request::model_key: each model serves
 //     from its own lane, unknown keys reject synchronously, unload
-//     closes exactly one lane. Runs under TSan in CI.
+//     closes exactly one lane, and racing load() calls of one package
+//     open exactly one lane. Runs under TSan in CI.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <future>
+#include <latch>
 #include <memory>
 #include <thread>
 #include <vector>
 
 #include "src/data/synthetic.hpp"
 #include "src/rt/runtime.hpp"
+#include "src/serialize/serialize.hpp"
 #include "src/serve/multi_model_server.hpp"
 
 namespace micronas {
@@ -212,6 +216,45 @@ TEST(ServeApi, ConcurrentClientsAcrossLanesStayIsolated) {
   EXPECT_EQ(mismatches.load(), 0);
   EXPECT_EQ(server.stats("a").requests + server.stats("b").requests,
             static_cast<long long>(4 * inputs.size()));
+}
+
+// Lanes are built outside the routing lock, so concurrent load() calls
+// of one package all build a lane; exactly one is inserted, the spares
+// are stopped, and every caller gets the same key.
+TEST(ServeApi, ConcurrentLoadsOfOnePackageOpenOneLane) {
+  const compile::CompiledModel model = compiled_small();
+  const std::string path = ::testing::TempDir() + "serve_api_concurrent_load.mnpkg";
+  serialize::save_model(model, path);
+
+  serve::ServerOptions options;
+  options.max_batch = 4;
+  options.max_wait_us = 200;
+  serve::MultiModelServer server(options);
+  constexpr int kLoaders = 8;
+  std::vector<std::string> keys(kLoaders);
+  std::latch start(kLoaders);
+  std::vector<std::thread> loaders;
+  for (int t = 0; t < kLoaders; ++t) {
+    loaders.emplace_back([&, t] {
+      start.arrive_and_wait();
+      keys[static_cast<std::size_t>(t)] = server.load(path);
+    });
+  }
+  for (std::thread& t : loaders) t.join();
+  std::remove(path.c_str());
+
+  for (const std::string& key : keys) EXPECT_EQ(key, keys[0]);
+  EXPECT_EQ(server.keys(), (std::vector<std::string>{keys[0]}));
+
+  const Tensor input = sample_inputs(1, 37)[0];
+  const Tensor want = rt::Executor(model.graph, model.plan, rt::ExecOptions{1}).run(input);
+  const serve::Response resp = server.infer({.input = input, .model_key = keys[0]});
+  ASSERT_EQ(resp.logits.numel(), want.numel());
+  for (std::size_t i = 0; i < want.numel(); ++i) {
+    ASSERT_EQ(resp.logits[i], want[i]) << "logit " << i;
+  }
+  server.stop();
+  EXPECT_EQ(server.stats(keys[0]).requests, 1);
 }
 
 }  // namespace

@@ -50,14 +50,14 @@ TEST(ModelServerOverload, FullQueueRejectsSynchronously) {
   serve::ModelServer server(compiled_small(), options);
 
   const std::vector<Tensor> inputs = sample_inputs(4, 41);
-  std::vector<std::future<Tensor>> futures;
-  for (int i = 0; i < 3; ++i) futures.push_back(server.submit(inputs[static_cast<std::size_t>(i)]));
-  EXPECT_THROW(server.submit(inputs[3]), serve::QueueFullError);
+  std::vector<std::future<serve::Response>> futures;
+  for (std::size_t i = 0; i < 3; ++i) futures.push_back(server.submit({.input = inputs[i]}));
+  EXPECT_THROW(server.submit({.input = inputs[3]}), serve::QueueFullError);
 
   // The rejected caller never got a future; the admitted three still
   // complete with logits once the server drains.
   server.stop();
-  for (std::future<Tensor>& f : futures) EXPECT_GT(f.get().numel(), 0u);
+  for (std::future<serve::Response>& f : futures) EXPECT_GT(f.get().logits.numel(), 0u);
 
   const serve::ServerStats stats = server.stats();
   EXPECT_EQ(stats.accepted, 3);
@@ -66,8 +66,8 @@ TEST(ModelServerOverload, FullQueueRejectsSynchronously) {
   EXPECT_EQ(stats.requests, 3);
 }
 
-// The per-request submit() overload with a non-positive deadline is
-// already expired — a guaranteed drop, and the future must rethrow
+// A per-request Request::deadline_us that is not positive is already
+// expired — a guaranteed drop, and the future must rethrow
 // DeadlineExpiredError specifically (not a generic runtime_error a
 // client would confuse with an executor failure).
 TEST(ModelServerOverload, ExpiredDeadlineDropsWithDistinctError) {
@@ -77,12 +77,12 @@ TEST(ModelServerOverload, ExpiredDeadlineDropsWithDistinctError) {
   serve::ModelServer server(compiled_small(), options);
 
   const std::vector<Tensor> inputs = sample_inputs(3, 43);
-  std::future<Tensor> doomed = server.submit(inputs[0], /*deadline_us=*/-1);
+  std::future<serve::Response> doomed = server.submit({.input = inputs[0], .deadline_us = -1});
   EXPECT_THROW(doomed.get(), serve::DeadlineExpiredError);
 
   // A drop poisons nothing: later no-deadline requests still serve.
-  EXPECT_GT(server.infer(inputs[1]).numel(), 0u);
-  std::future<Tensor> doomed2 = server.submit(inputs[2], 0);
+  EXPECT_GT(server.infer({.input = inputs[1]}).logits.numel(), 0u);
+  std::future<serve::Response> doomed2 = server.submit({.input = inputs[2], .deadline_us = 0});
   EXPECT_THROW(doomed2.get(), serve::DeadlineExpiredError);
 
   const serve::ServerStats stats = server.stats();
@@ -102,9 +102,9 @@ TEST(ModelServerOverload, DefaultDeadlineExpiresHeldRequests) {
   serve::ModelServer server(compiled_small(), options);
 
   const std::vector<Tensor> inputs = sample_inputs(5, 47);
-  std::vector<std::future<Tensor>> futures;
-  for (const Tensor& in : inputs) futures.push_back(server.submit(in));
-  for (std::future<Tensor>& f : futures) {
+  std::vector<std::future<serve::Response>> futures;
+  for (const Tensor& in : inputs) futures.push_back(server.submit({.input = in}));
+  for (std::future<serve::Response>& f : futures) {
     EXPECT_THROW(f.get(), serve::DeadlineExpiredError);
   }
 
@@ -137,22 +137,23 @@ TEST(ModelServerOverload, CountersExactlyBalanceOfferedLoad) {
           sample_inputs(kPerClient, 600 + static_cast<std::uint64_t>(c));
       // Burst-submit the whole load before resolving anything — that is
       // what actually fills the bounded queue and forces rejections.
-      std::vector<std::future<Tensor>> futures;
+      std::vector<std::future<serve::Response>> futures;
       for (int i = 0; i < kPerClient; ++i) {
         try {
           // Every third request carries a 1 us deadline: some expire in
           // the queue, some get batched first — both ledgers must agree
           // whichever way each race lands.
-          futures.push_back(i % 3 == 0 ? server.submit(inputs[static_cast<std::size_t>(i)], 1)
-                                       : server.submit(inputs[static_cast<std::size_t>(i)]));
+          serve::Request request{.input = inputs[static_cast<std::size_t>(i)]};
+          if (i % 3 == 0) request.deadline_us = 1;
+          futures.push_back(server.submit(std::move(request)));
           ++accepted;
         } catch (const serve::QueueFullError&) {
           ++rejected;
         }
       }
-      for (std::future<Tensor>& f : futures) {
+      for (std::future<serve::Response>& f : futures) {
         try {
-          const Tensor logits = f.get();
+          const Tensor logits = f.get().logits;
           EXPECT_GT(logits.numel(), 0u);
           ++completed;
         } catch (const serve::DeadlineExpiredError&) {
@@ -193,9 +194,9 @@ TEST(ModelServerOverload, ConcurrentStopUnderOverloadDrainsWithoutDeadlock) {
       const std::vector<Tensor> inputs =
           sample_inputs(30, 700 + static_cast<std::uint64_t>(c));
       for (const Tensor& in : inputs) {
-        std::future<Tensor> f;
+        std::future<serve::Response> f;
         try {
-          f = server.submit(in);
+          f = server.submit({.input = in});
         } catch (const serve::QueueFullError&) {
           ++rejected;
           continue;
@@ -205,7 +206,7 @@ TEST(ModelServerOverload, ConcurrentStopUnderOverloadDrainsWithoutDeadlock) {
         }
         ++accepted;
         try {
-          EXPECT_GT(f.get().numel(), 0u);
+          EXPECT_GT(f.get().logits.numel(), 0u);
           ++completed;
         } catch (const serve::DeadlineExpiredError&) {
           ++dropped;
@@ -237,34 +238,6 @@ TEST(ModelServerOverload, ConcurrentStopUnderOverloadDrainsWithoutDeadlock) {
   EXPECT_EQ(stats.requests, completed.load());
   EXPECT_EQ(stats.dropped, dropped.load());
   EXPECT_EQ(stats.accepted, stats.requests + stats.dropped);
-}
-
-// Overload semantics are mode-independent: the legacy per-slot fan-out
-// path enforces the same bounded queue and deadline contract.
-TEST(ModelServerOverload, FanoutPathEnforcesTheSameAdmissionControl) {
-  serve::ServerOptions options;
-  options.max_batch = 4;
-  options.max_wait_us = 10'000'000;
-  options.max_queue = 2;
-  options.per_slot_fanout = true;
-  serve::ModelServer server(compiled_small(), options);
-
-  const std::vector<Tensor> inputs = sample_inputs(4, 53);
-  std::future<Tensor> doomed = server.submit(inputs[0], /*deadline_us=*/-1);
-  EXPECT_THROW(doomed.get(), serve::DeadlineExpiredError);
-
-  std::vector<std::future<Tensor>> futures;
-  futures.push_back(server.submit(inputs[1]));
-  futures.push_back(server.submit(inputs[2]));
-  EXPECT_THROW(server.submit(inputs[3]), serve::QueueFullError);
-
-  server.stop();
-  for (std::future<Tensor>& f : futures) EXPECT_GT(f.get().numel(), 0u);
-  const serve::ServerStats stats = server.stats();
-  EXPECT_EQ(stats.accepted, 3);
-  EXPECT_EQ(stats.rejected, 1);
-  EXPECT_EQ(stats.dropped, 1);
-  EXPECT_EQ(stats.requests, 2);
 }
 
 }  // namespace
