@@ -2,7 +2,10 @@
 // proxy-cost-vs-batch-size curve that motivates the paper's batch = 32
 // choice (§II.A.1: "Increasing beyond 32 to 128 ... significantly
 // escalates search costs").
+#include <algorithm>
+#include <chrono>
 #include <cstdint>
+#include <limits>
 #include <random>
 #include <vector>
 
@@ -15,6 +18,7 @@
 #include "src/proxies/ntk.hpp"
 #include "src/rt/kernels_int8.hpp"
 #include "src/rt/kernels_int8_gemm.hpp"
+#include "src/rt/simd_clones.hpp"
 #include "src/tensor/ops.hpp"
 
 namespace micronas {
@@ -343,6 +347,82 @@ BENCH_CASE(micro_kernels, qlinear_int8_gemm) {
   state.set_items_processed(1.0 * out_f * in_f * kInner);
   state.set_bytes_processed(
       (static_cast<double>(input.size()) + output.size() + packed.data.size() * 2.0) * kInner);
+}
+
+/// The int8 kernels' output stage, both ways, over rows of accumulators
+/// that share a per-row multiplier: per-output scalar calls of the
+/// reference, and the decoded row helper. Both carry the kernels' SIMD
+/// clones, so each runs at the host's widest ISA level as it would
+/// inside a kernel.
+MICRONAS_SIMD_CLONES
+void requant_rows_scalar(const std::int32_t* acc, int rows, int cols,
+                         const std::int32_t* mantissa, const int* shift, std::int8_t* out) {
+  for (int r = 0; r < rows; ++r) {
+    for (int j = 0; j < cols; ++j) {
+      const std::ptrdiff_t at = static_cast<std::ptrdiff_t>(r) * cols + j;
+      const std::int32_t q = multiply_by_quantized_multiplier(acc[at], mantissa[r], shift[r]) + 5;
+      out[at] = static_cast<std::int8_t>(std::clamp<std::int32_t>(q, kInt8Min, kInt8Max));
+    }
+  }
+}
+
+MICRONAS_SIMD_CLONES
+void requant_rows_vector(const std::int32_t* acc, int rows, int cols,
+                         const QuantizedMultiplier* mult, std::int8_t* out) {
+  for (int r = 0; r < rows; ++r) {
+    const std::ptrdiff_t at = static_cast<std::ptrdiff_t>(r) * cols;
+    requantize_row(acc + at, cols, 0, mult[r], 5, kInt8Min, out + at);
+  }
+}
+
+/// ns per requantized output, scalar reference vs row helper, on 64
+/// rows of 64 accumulators (one conv GEMM tile's epilogue) with
+/// per-row multipliers spanning right and left shifts. `mismatches`
+/// counts outputs where the two disagree; it must read 0.
+BENCH_CASE(micro_kernels, requant_row) {
+  constexpr int kRows = 64;
+  constexpr int kCols = 64;
+  constexpr int kInner = 64;
+  std::mt19937 rng(4242);
+  std::vector<std::int32_t> acc(static_cast<std::size_t>(kRows) * kCols);
+  for (auto& v : acc) v = static_cast<std::int32_t>(rng() % (1U << 21)) - (1 << 20);
+  std::vector<std::int32_t> mantissa(kRows);
+  std::vector<int> shift(kRows);
+  std::vector<QuantizedMultiplier> mult;
+  for (int r = 0; r < kRows; ++r) {
+    const auto i = static_cast<std::size_t>(r);
+    // Every fifth row scales up (a left shift); the rest scale down.
+    quantize_multiplier(0.0003 * (1 + r % 13) * (r % 5 == 0 ? 3000.0 : 1.0), &mantissa[i],
+                        &shift[i]);
+    mult.emplace_back(mantissa[i], shift[i]);
+  }
+  std::vector<std::int8_t> scalar_out(acc.size()), vector_out(acc.size());
+  double scalar_ms = std::numeric_limits<double>::infinity();
+  double vector_ms = std::numeric_limits<double>::infinity();
+  for (auto _ : state) {
+    const auto t0 = std::chrono::steady_clock::now();
+    for (int i = 0; i < kInner; ++i) {
+      requant_rows_scalar(acc.data(), kRows, kCols, mantissa.data(), shift.data(),
+                          scalar_out.data());
+      bench::do_not_optimize(scalar_out.data());
+    }
+    const auto t1 = std::chrono::steady_clock::now();
+    for (int i = 0; i < kInner; ++i) {
+      requant_rows_vector(acc.data(), kRows, kCols, mult.data(), vector_out.data());
+      bench::do_not_optimize(vector_out.data());
+    }
+    const auto t2 = std::chrono::steady_clock::now();
+    scalar_ms = std::min(scalar_ms, std::chrono::duration<double, std::milli>(t1 - t0).count());
+    vector_ms = std::min(vector_ms, std::chrono::duration<double, std::milli>(t2 - t1).count());
+  }
+  const double outputs = static_cast<double>(acc.size()) * kInner;
+  state.counter("scalar_ns_per_output", scalar_ms * 1e6 / outputs);
+  state.counter("row_ns_per_output", vector_ms * 1e6 / outputs);
+  state.counter("requant_speedup", scalar_ms / vector_ms);
+  int mismatches = 0;
+  for (std::size_t i = 0; i < acc.size(); ++i) mismatches += scalar_out[i] != vector_out[i];
+  state.counter("mismatches", mismatches);
+  state.set_items_processed(2.0 * outputs);
 }
 
 }  // namespace

@@ -9,6 +9,8 @@
 // penalty so quantization can participate in search constraints.
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <stdexcept>
@@ -77,10 +79,10 @@ void quantize_multiplier(double m, std::int32_t* mantissa, int* shift);
 /// (a * b) rounded to the high 32 bits of the doubled 64-bit product.
 /// Saturates the single overflow case a == b == INT32_MIN.
 ///
-/// This and the two helpers below are defined inline: every int8
-/// kernel calls them once per OUTPUT element, so a function call here
-/// is a measurable fraction of conv/add/pool wall time and blocks the
-/// compiler from vectorizing the requant tail of the kernels.
+/// This and the two helpers below are the scalar reference of the
+/// requantization arithmetic: the scalar kernels call them per output
+/// element, and QuantizedMultiplier::apply (below) must match
+/// multiply_by_quantized_multiplier bit for bit.
 inline std::int32_t saturating_rounding_doubling_high_mul(std::int32_t a, std::int32_t b) {
   const bool overflow = a == b && a == std::numeric_limits<std::int32_t>::min();
   if (overflow) return std::numeric_limits<std::int32_t>::max();
@@ -115,6 +117,83 @@ inline std::int32_t multiply_by_quantized_multiplier(std::int32_t x, std::int32_
       static_cast<std::int32_t>(static_cast<std::uint32_t>(x) << left_shift);
   return rounding_divide_by_pot(saturating_rounding_doubling_high_mul(shifted, mantissa),
                                 right_shift);
+}
+
+/// Smallest and largest `shift` a requant multiplier may carry: the
+/// remaining power of two is applied as a 32-bit shift on one side.
+inline constexpr int kMinRequantShift = -31;
+inline constexpr int kMaxRequantShift = 31;
+
+/// True iff (mantissa, shift) is a multiplier the int8 kernels accept
+/// (what quantize_multiplier produces for any representable scale).
+inline constexpr bool quantized_multiplier_in_range(std::int32_t mantissa, int shift) {
+  return mantissa > 0 && shift >= kMinRequantShift && shift <= kMaxRequantShift;
+}
+
+/// A quantized multiplier (mantissa, shift) decoded once, for the
+/// vectorized output stage of the int8 kernels (gemmlowp's
+/// OutputStageQuantizeDownInt32ByFixedPoint). The constructor checks the
+/// range once — mantissa > 0, shift in [kMinRequantShift,
+/// kMaxRequantShift] — so `apply` needs no check and no branch: it is
+/// pure lane arithmetic that the kernels' SIMD clones vectorize over a
+/// whole row of accumulators. For every int32 x, apply(x) ==
+/// multiply_by_quantized_multiplier(x, mantissa, shift).
+class QuantizedMultiplier {
+ public:
+  /// Throws std::invalid_argument if (mantissa, shift) is out of range.
+  QuantizedMultiplier(std::int32_t mantissa, int shift) : mantissa_(mantissa) {
+    if (!quantized_multiplier_in_range(mantissa, shift)) {
+      throw std::invalid_argument("QuantizedMultiplier: mantissa must be > 0 and shift in "
+                                  "[-31, 31]");
+    }
+    left_shift_ = shift > 0 ? shift : 0;
+    right_shift_ = shift > 0 ? 0 : -shift;
+    mask_ = static_cast<std::int32_t>((std::int64_t{1} << right_shift_) - 1);
+    half_mask_ = mask_ >> 1;
+  }
+
+  std::int32_t apply(std::int32_t x) const {
+    const auto shifted = static_cast<std::int32_t>(static_cast<std::uint32_t>(x) << left_shift_);
+    // The high mul without its branches: with mantissa > 0 the
+    // INT32_MIN * INT32_MIN saturation cannot occur, and the reference's
+    // sign-dependent nudge followed by a truncating division by 2^31 is
+    // exactly floor((ab + 2^30) / 2^31). The result fits in 32 bits, so
+    // the low word of a logical 64-bit shift is that floor.
+    const std::int64_t ab = static_cast<std::int64_t>(shifted) * mantissa_;
+    const auto high = static_cast<std::int32_t>(
+        static_cast<std::uint64_t>(ab + (std::int64_t{1} << 30)) >> 31);
+    // rounding_divide_by_pot: ties away from zero (right_shift_ == 0
+    // gives mask 0, so nothing rounds).
+    const std::int32_t remainder = high & mask_;
+    const std::int32_t threshold = half_mask_ + static_cast<std::int32_t>(high < 0);
+    return (high >> right_shift_) + static_cast<std::int32_t>(remainder > threshold);
+  }
+
+ private:
+  std::int32_t mantissa_;
+  int left_shift_ = 0;
+  int right_shift_ = 0;
+  std::int32_t mask_ = 0;
+  std::int32_t half_mask_ = 0;
+};
+
+/// The int8 kernels' output stage over one row of accumulators that
+/// share a multiplier: out[j * stride] = clamp(m.apply(acc[j] + base) +
+/// out_zp, lo, 127) for j in [0, n), with out_zp and lo on the int8
+/// grid. Inline so each kernel's SIMD clones vectorize it in place. `m`
+/// is taken by value: a local copy cannot alias the int8 stores, so its
+/// fields stay in registers.
+inline void requantize_row(const std::int32_t* acc, int n, std::int32_t base,
+                           QuantizedMultiplier m, int out_zp, int lo, std::int8_t* out,
+                           std::ptrdiff_t stride = 1) {
+  // Clamp before adding the zero point: apply() spans all of int32, so
+  // apply() + out_zp could overflow.
+  const std::int32_t v_lo = lo - out_zp;
+  const std::int32_t v_hi = kInt8Max - out_zp;
+  for (int j = 0; j < n; ++j) {
+    const std::int32_t v = std::min(std::max(m.apply(acc[j] + base), v_lo), v_hi);
+    out[j * stride] = static_cast<std::int8_t>(v + out_zp);
+  }
 }
 
 /// Round-to-nearest quantization with saturation to [-128, 127].

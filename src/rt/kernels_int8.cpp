@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "src/hw/quant.hpp"
+#include "src/rt/simd_clones.hpp"
 
 namespace micronas::rt {
 
@@ -12,6 +13,99 @@ namespace {
 
 inline std::int8_t clamp_i8(std::int32_t v, int lo) {
   return static_cast<std::int8_t>(std::clamp<std::int32_t>(v, lo, kInt8Max));
+}
+
+// The vectorized kernels below take decoded QuantizedMultipliers: the
+// public entry points decode (and range-check) them on the calling
+// thread, so no SIMD clone can throw.
+
+MICRONAS_SIMD_CLONES
+void qadd_rows(const std::int8_t* a, const std::int8_t* b, std::int8_t* out, std::size_t n,
+               int zp_a, QuantizedMultiplier m_a, int zp_b, QuantizedMultiplier m_b,
+               int zp_out) {
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::int32_t q = m_a.apply(static_cast<std::int32_t>(a[i]) - zp_a) +
+                           m_b.apply(static_cast<std::int32_t>(b[i]) - zp_b) + zp_out;
+    out[i] = clamp_i8(q, kInt8Min);
+  }
+}
+
+MICRONAS_SIMD_CLONES
+void qavg_pool_planes(const std::int8_t* input, std::int8_t* output, int batch, int channels,
+                      int h, int w, int kernel, int stride, int pad, int out_h, int out_w,
+                      int in_zp, QuantizedMultiplier m, int out_zp) {
+  // The padded plane covers exactly the cells some window reads: rows
+  // [0, rows) and columns [0, cols) of the pad-shifted input. Cells
+  // outside the input hold (q - zp) == 0 — what the reference skips —
+  // so every window sums the reference's terms plus zeros, and integer
+  // sums are exact. Windows are summed separably: a horizontal pass of
+  // `kernel` taps per row, then a vertical pass over `kernel` row sums,
+  // all without bounds checks.
+  const int rows = (out_h - 1) * stride + kernel;
+  const int cols = (out_w - 1) * stride + kernel;
+  const int copy_h = std::clamp(rows - pad, 0, h);
+  const int copy_w = std::clamp(cols - pad, 0, w);
+  std::vector<std::int16_t> padded(static_cast<std::size_t>(rows) * cols, 0);
+  std::vector<std::int32_t> row_sums(static_cast<std::size_t>(rows) * out_w);
+  std::vector<std::int32_t> acc(static_cast<std::size_t>(out_w));
+  for (int n = 0; n < batch; ++n) {
+    for (int c = 0; c < channels; ++c) {
+      const std::int8_t* plane =
+          input + (static_cast<std::ptrdiff_t>(n) * channels + c) * h * w;
+      std::int8_t* oplane =
+          output + (static_cast<std::ptrdiff_t>(n) * channels + c) * out_h * out_w;
+      for (int y = 0; y < copy_h; ++y) {
+        const std::int8_t* src = plane + static_cast<std::ptrdiff_t>(y) * w;
+        std::int16_t* dst = padded.data() + static_cast<std::ptrdiff_t>(y + pad) * cols + pad;
+        for (int x = 0; x < copy_w; ++x) {
+          dst[x] = static_cast<std::int16_t>(static_cast<std::int32_t>(src[x]) - in_zp);
+        }
+      }
+      for (int r = 0; r < rows; ++r) {
+        const std::int16_t* prow = padded.data() + static_cast<std::ptrdiff_t>(r) * cols;
+        std::int32_t* srow = row_sums.data() + static_cast<std::ptrdiff_t>(r) * out_w;
+        for (int ox = 0; ox < out_w; ++ox) srow[ox] = 0;
+        for (int kx = 0; kx < kernel; ++kx) {
+          for (int ox = 0; ox < out_w; ++ox) srow[ox] += prow[ox * stride + kx];
+        }
+      }
+      std::int32_t* sums = acc.data();
+      for (int oy = 0; oy < out_h; ++oy) {
+        for (int ox = 0; ox < out_w; ++ox) sums[ox] = 0;
+        for (int ky = 0; ky < kernel; ++ky) {
+          const std::int32_t* srow =
+              row_sums.data() + static_cast<std::ptrdiff_t>(oy * stride + ky) * out_w;
+          for (int ox = 0; ox < out_w; ++ox) sums[ox] += srow[ox];
+        }
+        requantize_row(sums, out_w, 0, m, out_zp, kInt8Min,
+                       oplane + static_cast<std::ptrdiff_t>(oy) * out_w);
+      }
+    }
+  }
+}
+
+/// Channels per requantized row of qglobal_avg_pool's plane sums.
+constexpr int kGapRow = 64;
+
+MICRONAS_SIMD_CLONES
+void qglobal_avg_pool_planes(const std::int8_t* input, std::int8_t* output, int batch,
+                             int channels, int hw, int in_zp, QuantizedMultiplier m,
+                             int out_zp) {
+  std::int32_t sums[kGapRow];
+  for (int n = 0; n < batch; ++n) {
+    for (int c0 = 0; c0 < channels; c0 += kGapRow) {
+      const int cn = std::min(kGapRow, channels - c0);
+      for (int cc = 0; cc < cn; ++cc) {
+        const std::int8_t* plane =
+            input + (static_cast<std::ptrdiff_t>(n) * channels + c0 + cc) * hw;
+        std::int32_t acc = 0;
+        for (int i = 0; i < hw; ++i) acc += static_cast<std::int32_t>(plane[i]) - in_zp;
+        sums[cc] = acc;
+      }
+      requantize_row(sums, cn, 0, m, out_zp, kInt8Min,
+                     output + static_cast<std::ptrdiff_t>(n) * channels + c0);
+    }
+  }
 }
 
 }  // namespace
@@ -111,90 +205,16 @@ void qlinear(const QLinearArgs& a, ThreadPool* pool) {
 void qadd(const std::int8_t* a, const std::int8_t* b, std::int8_t* out, std::size_t n,
           int zp_a, std::int32_t mant_a, int shift_a, int zp_b, std::int32_t mant_b, int shift_b,
           int zp_out) {
-  // Each operand's rescale depends only on its own int8 value, so for
-  // long tensors precompute both 256-entry requant tables with the
-  // exact per-element function and reduce the loop to two loads, an
-  // add and a clamp. Results are bit-identical to the direct loop by
-  // construction; the 512 table builds amortize once n clears them.
-  if (n >= 2 * 256) {
-    std::int32_t lut_a[256];
-    std::int32_t lut_b[256];
-    for (int q = 0; q < 256; ++q) {
-      lut_a[q] = multiply_by_quantized_multiplier(q - 128 - zp_a, mant_a, shift_a);
-      lut_b[q] = multiply_by_quantized_multiplier(q - 128 - zp_b, mant_b, shift_b);
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::int32_t ta = lut_a[static_cast<std::int32_t>(a[i]) + 128];
-      const std::int32_t tb = lut_b[static_cast<std::int32_t>(b[i]) + 128];
-      out[i] = clamp_i8(ta + tb + zp_out, kInt8Min);
-    }
-    return;
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::int32_t ta =
-        multiply_by_quantized_multiplier(static_cast<std::int32_t>(a[i]) - zp_a, mant_a, shift_a);
-    const std::int32_t tb =
-        multiply_by_quantized_multiplier(static_cast<std::int32_t>(b[i]) - zp_b, mant_b, shift_b);
-    out[i] = clamp_i8(ta + tb + zp_out, kInt8Min);
-  }
+  qadd_rows(a, b, out, n, zp_a, QuantizedMultiplier(mant_a, shift_a), zp_b,
+            QuantizedMultiplier(mant_b, shift_b), zp_out);
 }
 
 void qavg_pool(const std::int8_t* input, std::int8_t* output, int batch, int channels, int h,
                int w, int kernel, int stride, int pad, int out_h, int out_w, int in_zp,
                std::int32_t mantissa, int shift, int out_zp) {
   if (out_h <= 0 || out_w <= 0) return;
-  // The padded plane covers exactly the cells some window reads: rows
-  // [0, rows) and columns [0, cols) of the pad-shifted input. Cells
-  // outside the input hold (q - zp) == 0 — what the reference skips —
-  // so every window sums the reference's terms plus zeros, and integer
-  // sums are exact. Windows are summed separably: a horizontal pass of
-  // `kernel` taps per row, then a vertical pass over `kernel` row sums,
-  // all without bounds checks.
-  const int rows = (out_h - 1) * stride + kernel;
-  const int cols = (out_w - 1) * stride + kernel;
-  const int copy_h = std::clamp(rows - pad, 0, h);
-  const int copy_w = std::clamp(cols - pad, 0, w);
-  std::vector<std::int16_t> padded(static_cast<std::size_t>(rows) * cols, 0);
-  std::vector<std::int32_t> row_sums(static_cast<std::size_t>(rows) * out_w);
-  std::vector<std::int32_t> acc(static_cast<std::size_t>(out_w));
-  for (int n = 0; n < batch; ++n) {
-    for (int c = 0; c < channels; ++c) {
-      const std::int8_t* plane =
-          input + (static_cast<std::ptrdiff_t>(n) * channels + c) * h * w;
-      std::int8_t* oplane =
-          output + (static_cast<std::ptrdiff_t>(n) * channels + c) * out_h * out_w;
-      for (int y = 0; y < copy_h; ++y) {
-        const std::int8_t* src = plane + static_cast<std::ptrdiff_t>(y) * w;
-        std::int16_t* dst = padded.data() + static_cast<std::ptrdiff_t>(y + pad) * cols + pad;
-        for (int x = 0; x < copy_w; ++x) {
-          dst[x] = static_cast<std::int16_t>(static_cast<std::int32_t>(src[x]) - in_zp);
-        }
-      }
-      for (int r = 0; r < rows; ++r) {
-        const std::int16_t* prow = padded.data() + static_cast<std::ptrdiff_t>(r) * cols;
-        std::int32_t* srow = row_sums.data() + static_cast<std::ptrdiff_t>(r) * out_w;
-        for (int ox = 0; ox < out_w; ++ox) srow[ox] = 0;
-        for (int kx = 0; kx < kernel; ++kx) {
-          for (int ox = 0; ox < out_w; ++ox) srow[ox] += prow[ox * stride + kx];
-        }
-      }
-      std::int32_t* sums = acc.data();
-      for (int oy = 0; oy < out_h; ++oy) {
-        for (int ox = 0; ox < out_w; ++ox) sums[ox] = 0;
-        for (int ky = 0; ky < kernel; ++ky) {
-          const std::int32_t* srow =
-              row_sums.data() + static_cast<std::ptrdiff_t>(oy * stride + ky) * out_w;
-          for (int ox = 0; ox < out_w; ++ox) sums[ox] += srow[ox];
-        }
-        std::int8_t* orow = oplane + static_cast<std::ptrdiff_t>(oy) * out_w;
-        for (int ox = 0; ox < out_w; ++ox) {
-          const std::int32_t q =
-              multiply_by_quantized_multiplier(sums[ox], mantissa, shift) + out_zp;
-          orow[ox] = clamp_i8(q, kInt8Min);
-        }
-      }
-    }
-  }
+  qavg_pool_planes(input, output, batch, channels, h, w, kernel, stride, pad, out_h, out_w,
+                   in_zp, QuantizedMultiplier(mantissa, shift), out_zp);
 }
 
 void qavg_pool_reference(const std::int8_t* input, std::int8_t* output, int batch, int channels,
@@ -230,16 +250,8 @@ void qavg_pool_reference(const std::int8_t* input, std::int8_t* output, int batc
 
 void qglobal_avg_pool(const std::int8_t* input, std::int8_t* output, int batch, int channels,
                       int h, int w, int in_zp, std::int32_t mantissa, int shift, int out_zp) {
-  for (int n = 0; n < batch; ++n) {
-    for (int c = 0; c < channels; ++c) {
-      const std::int8_t* plane =
-          input + (static_cast<std::ptrdiff_t>(n) * channels + c) * h * w;
-      std::int32_t acc = 0;
-      for (int i = 0; i < h * w; ++i) acc += static_cast<std::int32_t>(plane[i]) - in_zp;
-      const std::int32_t q = multiply_by_quantized_multiplier(acc, mantissa, shift) + out_zp;
-      output[static_cast<std::ptrdiff_t>(n) * channels + c] = clamp_i8(q, kInt8Min);
-    }
-  }
+  qglobal_avg_pool_planes(input, output, batch, channels, h * w, in_zp,
+                          QuantizedMultiplier(mantissa, shift), out_zp);
 }
 
 void qrelu(const std::int8_t* input, std::int8_t* output, std::size_t n, int zp) {

@@ -112,14 +112,17 @@ struct QLinearArgs {
 /// for every thread count.
 void qlinear(const QLinearArgs& args, ThreadPool* pool = nullptr);
 
-/// out = clamp(zp_out + M_a(a - zp_a) + M_b(b - zp_b)).
+/// out = clamp(zp_out + M_a(a - zp_a) + M_b(b - zp_b)): one vectorized
+/// loop applying both decoded multipliers per element (no tables).
+/// Throws std::invalid_argument if a multiplier is out of range.
 void qadd(const std::int8_t* a, const std::int8_t* b, std::int8_t* out, std::size_t n,
           int zp_a, std::int32_t mant_a, int shift_a, int zp_b, std::int32_t mant_b, int shift_b,
           int zp_out);
 
 /// Average pooling, count_include_pad: divisor k*k, padded cells
 /// contribute q == zp_in and drop out of the shifted sum. Branch-free
-/// separable window sums over a zero-padded (q - zp) plane.
+/// separable window sums over a zero-padded (q - zp) plane, each output
+/// row requantized by requantize_row.
 void qavg_pool(const std::int8_t* input, std::int8_t* output, int batch, int channels, int h,
                int w, int kernel, int stride, int pad, int out_h, int out_w, int in_zp,
                std::int32_t mantissa, int shift, int out_zp);
@@ -130,7 +133,8 @@ void qavg_pool_reference(const std::int8_t* input, std::int8_t* output, int batc
                          int h, int w, int kernel, int stride, int pad, int out_h, int out_w,
                          int in_zp, std::int32_t mantissa, int shift, int out_zp);
 
-/// Global average pooling [N,C,H,W] -> [N,C].
+/// Global average pooling [N,C,H,W] -> [N,C]; the plane sums of up to
+/// 64 channels are requantized as one row.
 void qglobal_avg_pool(const std::int8_t* input, std::int8_t* output, int batch, int channels,
                       int h, int w, int in_zp, std::int32_t mantissa, int shift, int out_zp);
 

@@ -2,58 +2,24 @@
 
 #include <algorithm>
 #include <cstring>
+#include <vector>
 
 #include "src/hw/quant.hpp"
 #include "src/ir/graph.hpp"
-
-// Function multiversioning for the hot loops: the build stays baseline
-// x86-64 (runs anywhere), but the GEMM cores are additionally compiled
-// for wider SIMD levels and dispatched once at load time via the ELF
-// ifunc mechanism — vectorization without making the binary
-// ISA-specific. The attribute only affects code generation of the
-// annotated function (inlined callees included); the arithmetic is the
-// same exact int32 accumulation in every clone, so outputs are
-// bit-identical across ISA levels. Off under MICRONAS_PORTABLE and on
-// toolchains/targets without the feature. (GCC spells AVX-512 targets
-// "arch=x86-64-v4"; clang spells them as plain features.) Also off
-// under TSan: the ifunc resolvers run during relocation, before the
-// TSan runtime initializes, and crash at program startup — and the CI
-// tsan job runs this TU's property suite.
-#if defined(__SANITIZE_THREAD__)
-#define MICRONAS_NO_SIMD_CLONES 1
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-#define MICRONAS_NO_SIMD_CLONES 1
-#endif
-#endif
-
-#if defined(MICRONAS_NO_SIMD_CLONES) || defined(MICRONAS_PORTABLE)
-#define MICRONAS_SIMD_CLONES
-#elif defined(__x86_64__) && defined(__ELF__) && defined(__clang__)
-#define MICRONAS_SIMD_CLONES __attribute__((target_clones("default", "avx2", "avx512bw")))
-#elif defined(__x86_64__) && defined(__ELF__) && defined(__GNUC__)
-#define MICRONAS_SIMD_CLONES \
-  __attribute__((target_clones("default", "arch=x86-64-v3", "arch=x86-64-v4")))
-#else
-#define MICRONAS_SIMD_CLONES
-#endif
+#include "src/rt/simd_clones.hpp"
 
 namespace micronas::rt {
 
 namespace {
 
-inline std::int8_t clamp_i8(std::int32_t v, int lo) {
-  return static_cast<std::int8_t>(std::clamp<std::int32_t>(v, lo, kInt8Max));
-}
-
 /// Per-call requantization context shared by conv and linear: the
 /// affine correction folded into the accumulator base plus the
-/// per-channel fixed-point multipliers.
+/// per-channel fixed-point multipliers, decoded (and range-checked) on
+/// the calling thread before any kernel clone runs.
 struct Requant {
-  const std::int32_t* bias;        // [cout] or null
-  const std::int32_t* weight_sum;  // [cout]
-  const std::int32_t* mantissa;    // [cout]
-  const int* shift;                // [cout]
+  const std::int32_t* bias;               // [cout] or null
+  const std::int32_t* weight_sum;         // [cout]
+  std::vector<QuantizedMultiplier> mult;  // [cout]
   int in_zp = 0;
   int out_zp = 0;
   int relu_lo = kInt8Min;
@@ -61,17 +27,25 @@ struct Requant {
   std::int32_t base(int c) const {
     return (bias ? bias[c] : 0) - in_zp * weight_sum[c];
   }
-  std::int8_t store(std::int32_t acc, int c) const {
-    const std::int32_t q =
-        multiply_by_quantized_multiplier(acc + base(c), mantissa[c], shift[c]) + out_zp;
-    return clamp_i8(q, relu_lo);
+  /// Requantize channel c's row of n accumulators into out[j * stride].
+  void store_row(const std::int32_t* acc, int n, int c, std::int8_t* out,
+                 std::ptrdiff_t stride) const {
+    requantize_row(acc, n, base(c), mult[static_cast<std::size_t>(c)], out_zp, relu_lo, out,
+                   stride);
   }
 };
 
+std::vector<QuantizedMultiplier> decode_multipliers(const std::int32_t* mantissa,
+                                                    const int* shift, int count) {
+  std::vector<QuantizedMultiplier> mult;
+  mult.reserve(static_cast<std::size_t>(count));
+  for (int c = 0; c < count; ++c) mult.emplace_back(mantissa[c], shift[c]);
+  return mult;
+}
+
 inline Requant conv_requant(const QConv2dArgs& a) {
-  Requant rq{a.bias, a.weight_sum, a.mantissa, a.shift, a.in_zp, a.out_zp, kInt8Min};
-  if (a.fused_relu) rq.relu_lo = std::max(kInt8Min, a.out_zp);
-  return rq;
+  return {a.bias, a.weight_sum, decode_multipliers(a.mantissa, a.shift, a.cout), a.in_zp,
+          a.out_zp, a.fused_relu ? std::max(kInt8Min, a.out_zp) : kInt8Min};
 }
 
 // ------------------------------------------------------ im2col (int16)
@@ -153,40 +127,58 @@ void im2col16(const std::int16_t* image, std::int16_t* columns, int cin, int hp,
 
 // ------------------------------------------------------- dot16 kernels
 
-/// The GEMM core: one exact int32 dot product per (channel, column)
-/// over the padded K dimension, both operands contiguous int16 — the
-/// shape the vectorizer lowers to vpmaddwd (2 MACs/lane/instruction).
-/// K runs ascending, the scalar reference's (ci, ky, kx) order, and
-/// int32 accumulation is exact, so any vector re-association still
-/// produces the identical sum. A column's operand stays L1-hot across
-/// the channel range [c_begin, c_end). Output element (c, j) lands at
-/// out[c * cstride + j * jstride] — the two strides are what let one
-/// core serve both qconv (cstride = npix, jstride = 1; columns are
-/// output pixels) and qlinear (cstride = 1, jstride = out_features;
-/// columns are batch samples).
-MICRONAS_SIMD_CLONES
-void qdot16_block(const std::int16_t* w16, const std::int16_t* columns, int patchp,
-                  const Requant& rq, std::int8_t* out, std::ptrdiff_t cstride,
-                  std::ptrdiff_t jstride, int c_begin, int c_end, int col_begin, int col_end) {
-  for (int j = col_begin; j < col_end; ++j) {
-    const std::int16_t* aj = columns + static_cast<std::ptrdiff_t>(j) * patchp;
-    std::int8_t* oj = out + static_cast<std::ptrdiff_t>(j) * jstride;
-    for (int c = c_begin; c < c_end; ++c) {
-      const std::int16_t* wc = w16 + static_cast<std::ptrdiff_t>(c) * patchp;
-      std::int32_t acc = 0;
-      for (int k = 0; k < patchp; ++k) {
-        acc += static_cast<std::int32_t>(wc[k]) * static_cast<std::int32_t>(aj[k]);
-      }
-      oj[static_cast<std::ptrdiff_t>(c) * cstride] = rq.store(acc, c);
-    }
-  }
-}
-
 /// Output pixels per tile of the conv GEMM grid: 64 int8 outputs of one
 /// channel row fill one 64-byte cache line, so no two cells of the grid
 /// write the same line when npix is a multiple of the tile (every NB201
 /// plane at a power-of-two input).
 constexpr int kPixTile = 64;
+
+/// Channel rows of the GEMM's int32 accumulator tile: kTileChannels x
+/// kPixTile int32s (8 KB) live on the stack between the dot products
+/// and the requant epilogue.
+constexpr int kTileChannels = 32;
+
+/// The GEMM core: one exact int32 dot product per (channel, column)
+/// over the padded K dimension, both operands contiguous int16 — the
+/// shape the vectorizer lowers to vpmaddwd (2 MACs/lane/instruction).
+/// K runs ascending, the scalar reference's (ci, ky, kx) order, and
+/// int32 accumulation is exact, so any vector re-association still
+/// produces the identical sum. The dot products of a (channel x column)
+/// tile land in an int32 accumulator tile; the epilogue then
+/// requantizes each channel row with that channel's multiplier in one
+/// vectorized pass. Output element (c, j) lands at out[c * cstride +
+/// j * jstride] — the two strides are what let one core serve both
+/// qconv (cstride = npix, jstride = 1; columns are output pixels, rows
+/// store contiguously) and qlinear (cstride = 1, jstride =
+/// out_features; columns are batch samples).
+MICRONAS_SIMD_CLONES
+void qdot16_block(const std::int16_t* w16, const std::int16_t* columns, int patchp,
+                  const Requant& rq, std::int8_t* out, std::ptrdiff_t cstride,
+                  std::ptrdiff_t jstride, int c_begin, int c_end, int col_begin, int col_end) {
+  std::int32_t acc[kTileChannels * kPixTile];
+  for (int j0 = col_begin; j0 < col_end; j0 += kPixTile) {
+    const int jn = std::min(kPixTile, col_end - j0);
+    for (int c0 = c_begin; c0 < c_end; c0 += kTileChannels) {
+      const int cn = std::min(kTileChannels, c_end - c0);
+      for (int j = 0; j < jn; ++j) {
+        const std::int16_t* aj = columns + static_cast<std::ptrdiff_t>(j0 + j) * patchp;
+        for (int cc = 0; cc < cn; ++cc) {
+          const std::int16_t* wc = w16 + static_cast<std::ptrdiff_t>(c0 + cc) * patchp;
+          std::int32_t sum = 0;
+          for (int k = 0; k < patchp; ++k) {
+            sum += static_cast<std::int32_t>(wc[k]) * static_cast<std::int32_t>(aj[k]);
+          }
+          acc[cc * kPixTile + j] = sum;
+        }
+      }
+      for (int cc = 0; cc < cn; ++cc) {
+        rq.store_row(acc + cc * kPixTile, jn, c0 + cc,
+                     out + static_cast<std::ptrdiff_t>(c0 + cc) * cstride + j0 * jstride,
+                     jstride);
+      }
+    }
+  }
+}
 
 /// Fewest output channels a GEMM grid cell holds: below this a cell's
 /// weight rows no longer amortize its sweep over the tile's columns.
@@ -291,8 +283,7 @@ void direct_conv_rows(const QConv2dArgs& a, const Requant& rq, int npix, const s
         const std::int8_t* row = in + static_cast<std::ptrdiff_t>(ci) * npix + j0;
         for (int j = 0; j < jn; ++j) acc[j] += w * static_cast<std::int32_t>(row[j]);
       }
-      std::int8_t* orow = out + static_cast<std::ptrdiff_t>(c) * npix + j0;
-      for (int j = 0; j < jn; ++j) orow[j] = rq.store(acc[j], c);
+      rq.store_row(acc, jn, c, out + static_cast<std::ptrdiff_t>(c) * npix + j0, 1);
     }
   }
 }
@@ -321,8 +312,8 @@ void qlinear_gemm(const QLinearArgs& a, const PackedWeights& pw, ThreadPool* poo
     std::int16_t* dst = columns.data() + static_cast<std::ptrdiff_t>(n) * patchp;
     for (int k = 0; k < a.in_features; ++k) dst[k] = row[k];
   }
-  const Requant rq{a.bias, a.weight_sum, a.mantissa, a.shift,
-                   a.in_zp, a.out_zp,    kInt8Min};
+  const Requant rq{a.bias, a.weight_sum, decode_multipliers(a.mantissa, a.shift, a.out_features),
+                   a.in_zp, a.out_zp, kInt8Min};
   for_sample_units(a.batch, 1, pool, [&](int n, int, int) {
     qdot16_block(pw.data.data(), columns.data(), patchp, rq, a.output, /*cstride=*/1,
                  /*jstride=*/a.out_features, 0, a.out_features, n, n + 1);

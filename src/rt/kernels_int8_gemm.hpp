@@ -35,7 +35,11 @@
 //     autovectorizer turns into vpmaddwd chains. The pool splits it
 //     over a (sample x 64-pixel tile x channel block) grid whose cells
 //     write whole cache lines of the output, and a column's operand
-//     (padded-patch int16s) stays L1-hot across its cell's channels.
+//     (padded-patch int16s) stays L1-hot across up to 32 channels.
+//     The dot products land in a stack tile of int32 accumulators that
+//     an epilogue requantizes one channel row at a time with that
+//     channel's decoded multiplier (hw/quant.hpp requantize_row), so
+//     the requant runs vectorized too.
 //
 //   * Kernel-selection table (`select_qconv_kernel`): per-shape choice
 //     between the im2col GEMM (spatial convs), a direct convolution

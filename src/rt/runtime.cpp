@@ -4,7 +4,9 @@
 #include <cmath>
 #include <cstring>
 #include <stdexcept>
+#include <string>
 
+#include "src/hw/quant.hpp"
 #include "src/obs/trace.hpp"
 #include "src/rt/kernels_f32.hpp"
 #include "src/rt/kernels_int8.hpp"
@@ -318,8 +320,46 @@ Executor::Executor(const ir::Graph& graph, MemoryPlan plan, int batch_capacity,
   prepare();
 }
 
+void check_quant_params(const ir::Graph& graph) {
+  for (const ir::Node& node : graph.nodes()) {
+    std::size_t want = 1;
+    switch (node.op) {
+      case ir::OpKind::kQConv2d:
+      case ir::OpKind::kQLinear:
+        want = static_cast<std::size_t>(node.type.shape[1]);
+        break;
+      case ir::OpKind::kQAvgPool:
+      case ir::OpKind::kQGlobalAvgPool:
+      case ir::OpKind::kQAdd:
+        break;
+      default:
+        continue;
+    }
+    const ir::QuantAttrs& q = node.quant;
+    const std::string where = " on " + op_kind_name(node.op) + " node %" + std::to_string(node.id);
+    if (q.mantissa.size() != want || q.shift.size() != want) {
+      throw std::invalid_argument("requant: " + std::to_string(q.mantissa.size()) +
+                                  " mantissas and " + std::to_string(q.shift.size()) +
+                                  " shifts, want " + std::to_string(want) + where);
+    }
+    for (std::size_t c = 0; c < want; ++c) {
+      if (!quantized_multiplier_in_range(q.mantissa[c], q.shift[c])) {
+        throw std::invalid_argument("requant: multiplier " + std::to_string(c) +
+                                    " (mantissa " + std::to_string(q.mantissa[c]) + ", shift " +
+                                    std::to_string(q.shift[c]) + ") out of range" + where);
+      }
+    }
+    if (node.op == ir::OpKind::kQAdd && !quantized_multiplier_in_range(q.mantissa2, q.shift2)) {
+      throw std::invalid_argument("requant: second-operand multiplier (mantissa " +
+                                  std::to_string(q.mantissa2) + ", shift " +
+                                  std::to_string(q.shift2) + ") out of range" + where);
+    }
+  }
+}
+
 void Executor::prepare() {
   graph_.validate();
+  check_quant_params(graph_);
   const ir::Node& in = graph_.node(graph_.input());
   const ir::Node& out = graph_.node(graph_.output());
   if (in.type.dtype != ir::DType::kF32 || out.type.dtype != ir::DType::kF32) {

@@ -48,6 +48,15 @@ struct ExecOptions {
   bool profile = false;
 };
 
+/// Throws std::invalid_argument unless every int8 op's requant
+/// parameters fit its kernels: one (mantissa, shift) pair per output
+/// channel for qconv2d (cout) and qlinear (out_features), exactly one
+/// for qavg_pool, qglobal_avg_pool and qadd (plus qadd's second-operand
+/// pair), each with mantissa > 0 and shift in [-31, 31]. The package
+/// loader and Executor construction call it, so no kernel ever sees a
+/// multiplier it cannot apply.
+void check_quant_params(const ir::Graph& graph);
+
 /// Per-node runtime attribution. The static facts (op, kernel variant,
 /// bytes, strip height) are resolved once at executor construction and
 /// double as obs span tags; calls/total_ms accumulate across run()s

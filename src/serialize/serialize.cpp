@@ -8,6 +8,7 @@
 
 #include "src/common/rng.hpp"  // fnv1a64
 #include "src/rt/memory_planner.hpp"
+#include "src/rt/runtime.hpp"
 
 // MappedPackage's zero-copy backend. The non-POSIX fallback reads the
 // file into an owned buffer — consts still borrow (from the buffer),
@@ -738,6 +739,15 @@ compile::CompiledModel load_model_image(std::span<const std::byte> bytes, bool z
   {
     ByteReader r(require_section(sections, kTagReport), "RPRT");
     model.report = read_report(r);
+  }
+
+  // Requant parameters the int8 kernels cannot apply (wrong count, a
+  // shift past 31) would read out of bounds or shift past the word
+  // inside a kernel; reject them here, where the failure is catchable.
+  try {
+    rt::check_quant_params(model.graph);
+  } catch (const std::exception& e) {
+    throw SerializeError(std::string("GRPH: ") + e.what());
   }
 
   // Plan/arena invariants re-derived from the loaded graph: a package

@@ -5,9 +5,11 @@
 // and repeated runs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <random>
 #include <vector>
 
 #include "src/compile/compiler.hpp"
@@ -96,6 +98,60 @@ TEST(AffineQuant, RoundingDivideByPotTiesAwayFromZero) {
   EXPECT_THROW(rounding_divide_by_pot(1, -1), std::invalid_argument);
 }
 
+// The vectorized output stage against the scalar reference: every
+// shift the kernels accept, mantissas at both ends of the Q31 range
+// quantize_multiplier produces plus random ones, and accumulators at the
+// int32 extremes (the left-shift wrap and the high-mul rounding edges).
+TEST(AffineQuant, RowHelperMatchesScalarReferenceForEveryShift) {
+  constexpr std::int32_t kMin = std::numeric_limits<std::int32_t>::min();
+  constexpr std::int32_t kMax = std::numeric_limits<std::int32_t>::max();
+  std::mt19937 rng(2024);
+  std::vector<std::int32_t> xs = {kMin, kMax, 0, 1, -1, kMin + 1, kMax - 1};
+  for (int i = 0; i < 249; ++i) xs.push_back(static_cast<std::int32_t>(rng()));
+  for (int i = 0; i < 64; ++i) xs.push_back(static_cast<std::int32_t>(rng() % 4096) - 2048);
+  const int n = static_cast<int>(xs.size());
+  std::vector<std::int8_t> got(xs.size());
+  int checked = 0;
+  for (int shift = kMinRequantShift; shift <= kMaxRequantShift; ++shift) {
+    std::vector<std::int32_t> mantissas = {std::int32_t{1} << 30, kMax};
+    for (int i = 0; i < 4; ++i) {
+      mantissas.push_back(static_cast<std::int32_t>((std::int64_t{1} << 30) + rng() % (1U << 30)));
+    }
+    mantissas.push_back(static_cast<std::int32_t>(1 + rng() % kMax));  // below Q31's 0.5 too
+    for (const std::int32_t mantissa : mantissas) {
+      const QuantizedMultiplier m(mantissa, shift);
+      for (const std::int32_t x : xs) {
+        ASSERT_EQ(m.apply(x), multiply_by_quantized_multiplier(x, mantissa, shift))
+            << "x=" << x << " mantissa=" << mantissa << " shift=" << shift;
+        ++checked;
+      }
+      for (const int out_zp : {0, -7}) {
+        for (const int lo : {static_cast<int>(kInt8Min), 3}) {
+          requantize_row(xs.data(), n, 0, m, out_zp, lo, got.data());
+          for (int j = 0; j < n; ++j) {
+            // In 64 bits: at the int32 extremes the zero point pushes
+            // the sum out of int32.
+            const std::int64_t q = std::int64_t{multiply_by_quantized_multiplier(
+                                       xs[static_cast<std::size_t>(j)], mantissa, shift)} +
+                                   out_zp;
+            ASSERT_EQ(got[static_cast<std::size_t>(j)],
+                      static_cast<std::int8_t>(std::clamp<std::int64_t>(q, lo, kInt8Max)))
+                << "x=" << xs[static_cast<std::size_t>(j)] << " mantissa=" << mantissa
+                << " shift=" << shift << " zp=" << out_zp << " lo=" << lo;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(checked, 63 * 7 * n);
+  // Out-of-range multipliers are rejected when built, never applied.
+  EXPECT_THROW(QuantizedMultiplier(0, 0), std::invalid_argument);
+  EXPECT_THROW(QuantizedMultiplier(-5, 0), std::invalid_argument);
+  EXPECT_THROW(QuantizedMultiplier(kMin, 0), std::invalid_argument);
+  EXPECT_THROW(QuantizedMultiplier(1 << 30, 32), std::invalid_argument);
+  EXPECT_THROW(QuantizedMultiplier(1 << 30, -32), std::invalid_argument);
+}
+
 // ------------------------------------------------------ kernel numerics
 
 TEST(Int8Kernels, QReluClampsAtZeroPoint) {
@@ -133,6 +189,74 @@ TEST(Int8Kernels, QAddMatchesRealArithmeticWithAsymmetricZeroPoints) {
   b[0] = static_cast<std::int8_t>(b_p.zero_point);
   rt::qadd(a, b, out, 1, a_p.zero_point, ma, sa, b_p.zero_point, mb, sb, out_p.zero_point);
   EXPECT_EQ(out[0], static_cast<std::int8_t>(out_p.zero_point));
+}
+
+// qadd's single vectorized loop against the per-element reference, at
+// lengths around the vector widths and the old 512-element table
+// threshold, with every operand value and zero points at the extremes.
+TEST(Int8Kernels, QAddMatchesScalarLoopAtEveryLength) {
+  std::mt19937 rng(99);
+  struct Params {
+    int zp_a, zp_b, zp_out;
+    double scale_a, scale_b;
+  };
+  for (const Params& p : {Params{3, -7, 5, 0.5, 0.25}, Params{-128, 127, -128, 1.9, 0.004},
+                          Params{127, -128, 127, 0.013, 3.5}}) {
+    std::int32_t ma, mb;
+    int sa, sb;
+    quantize_multiplier(p.scale_a, &ma, &sa);
+    quantize_multiplier(p.scale_b, &mb, &sb);
+    for (const std::size_t n : {std::size_t{1}, std::size_t{511}, std::size_t{512},
+                                std::size_t{4097}}) {
+      std::vector<std::int8_t> a(n), b(n), got(n), want(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        // The first 256 x 256 pairs sweep every operand value.
+        a[i] = static_cast<std::int8_t>(i < 256 ? i : rng());
+        b[i] = static_cast<std::int8_t>(i < 256 ? 255 - i : rng());
+      }
+      rt::qadd(a.data(), b.data(), got.data(), n, p.zp_a, ma, sa, p.zp_b, mb, sb, p.zp_out);
+      for (std::size_t i = 0; i < n; ++i) {
+        const std::int32_t q =
+            multiply_by_quantized_multiplier(static_cast<std::int32_t>(a[i]) - p.zp_a, ma, sa) +
+            multiply_by_quantized_multiplier(static_cast<std::int32_t>(b[i]) - p.zp_b, mb, sb) +
+            p.zp_out;
+        want[i] = static_cast<std::int8_t>(std::clamp<std::int32_t>(q, kInt8Min, kInt8Max));
+      }
+      ASSERT_EQ(got, want) << "n=" << n << " zp " << p.zp_a << "/" << p.zp_b << "/" << p.zp_out;
+    }
+  }
+}
+
+TEST(Int8Kernels, QGlobalAvgPoolMatchesScalarLoop) {
+  Rng rng(31);
+  for (const int channels : {1, 3, 64, 70, 130}) {
+    for (const int hw : {1, 7, 64}) {
+      for (const int in_zp : {-128, 0, 127}) {
+        const int batch = 2;
+        const int out_zp = -in_zp / 2;
+        std::int32_t mantissa = 0;
+        int shift = 0;
+        quantize_multiplier(1.3 / hw, &mantissa, &shift);
+        std::vector<std::int8_t> in(static_cast<std::size_t>(batch) * channels * hw);
+        for (auto& v : in) v = static_cast<std::int8_t>(rng.uniform_int(-128, 127));
+        std::vector<std::int8_t> got(static_cast<std::size_t>(batch) * channels);
+        std::vector<std::int8_t> want(got.size());
+        rt::qglobal_avg_pool(in.data(), got.data(), batch, channels, hw, 1, in_zp, mantissa,
+                             shift, out_zp);
+        for (std::size_t nc = 0; nc < want.size(); ++nc) {
+          std::int32_t acc = 0;
+          for (int i = 0; i < hw; ++i) {
+            acc += static_cast<std::int32_t>(in[nc * static_cast<std::size_t>(hw) +
+                                                static_cast<std::size_t>(i)]) -
+                   in_zp;
+          }
+          const std::int32_t q = multiply_by_quantized_multiplier(acc, mantissa, shift) + out_zp;
+          want[nc] = static_cast<std::int8_t>(std::clamp<std::int32_t>(q, kInt8Min, kInt8Max));
+        }
+        ASSERT_EQ(got, want) << channels << " channels, " << hw << " pixels, zp " << in_zp;
+      }
+    }
+  }
 }
 
 // The branch-free qavg_pool must match the bounds-checked reference

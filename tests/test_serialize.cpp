@@ -329,10 +329,17 @@ serialize::SectionInfo section_named(const std::vector<std::byte>& bytes,
   throw std::logic_error("package has no " + tag + " section");
 }
 
+/// Offsets within the GRPH payload of one node record's fields.
+struct NodeFieldOffsets {
+  std::size_t conv_attrs;      // kernel, stride, pad (3 x i32)
+  std::size_t mantissa_count;  // u32 count, mantissas, u32 count, shifts
+};
+
 /// Walk GRPH node records (mirroring the schema; op bytes follow
-/// ir::OpKind declaration order) to the first op that consumes conv
-/// attrs; returns the offset of its kernel field within the payload.
-std::size_t conv_attrs_offset(std::span<const std::byte> grph) {
+/// ir::OpKind declaration order) to the first node whose op is in
+/// `ops`; returns the offsets of its fields within the payload.
+NodeFieldOffsets first_node_fields(std::span<const std::byte> grph,
+                                   std::initializer_list<ir::OpKind> ops) {
   serialize::ByteReader r(grph, "GRPH");
   const std::uint32_t node_count = r.u32();
   r.i32();  // input
@@ -346,12 +353,8 @@ std::size_t conv_attrs_offset(std::span<const std::byte> grph) {
     const int rank = r.u8();
     for (int d = 0; d < rank; ++d) r.i32();
     r.u8();  // dtype
-    if (op == static_cast<int>(ir::OpKind::kConv2d) ||
-        op == static_cast<int>(ir::OpKind::kAvgPool) ||
-        op == static_cast<int>(ir::OpKind::kQConv2d) ||
-        op == static_cast<int>(ir::OpKind::kQAvgPool)) {
-      return r.pos();
-    }
+    NodeFieldOffsets at{};
+    at.conv_attrs = r.pos();
     r.i32();  // kernel
     r.i32();  // stride
     r.i32();  // pad
@@ -360,6 +363,10 @@ std::size_t conv_attrs_offset(std::span<const std::byte> grph) {
     for (int a = 0; a < 3; ++a) {  // in_q, in2_q, out_q
       r.f64();
       r.i32();
+    }
+    at.mantissa_count = r.pos();
+    for (const ir::OpKind want : ops) {
+      if (op == static_cast<int>(want)) return at;
     }
     const std::uint32_t num_mantissa = r.u32();
     for (std::uint32_t k = 0; k < num_mantissa; ++k) r.i32();
@@ -372,7 +379,14 @@ std::size_t conv_attrs_offset(std::span<const std::byte> grph) {
       r.u64();
     }
   }
-  throw std::logic_error("GRPH has no conv/pool node");
+  throw std::logic_error("GRPH has no node of the requested op");
+}
+
+/// The first op that consumes conv attrs; offset of its kernel field.
+std::size_t conv_attrs_offset(std::span<const std::byte> grph) {
+  return first_node_fields(grph, {ir::OpKind::kConv2d, ir::OpKind::kAvgPool,
+                                  ir::OpKind::kQConv2d, ir::OpKind::kQAvgPool})
+      .conv_attrs;
 }
 
 /// Offset of arena_bytes within the RPRT payload (arch string, four
@@ -431,6 +445,74 @@ TEST(SerializeForged, HostileConvAttrsFailClosed) {
     EXPECT_THROW(serialize::load_model_bytes(forged), SerializeError)
         << "kernel=" << h.kernel << " stride=" << h.stride << " pad=" << h.pad;
   }
+}
+
+// Requant parameters the int8 kernels cannot apply used to load and
+// then fail inside a kernel: a short mantissa/shift list overflowed the
+// per-channel read, shift +40 was a UBSan shift-exponent report, and
+// shift -40 threw from a pool worker and terminated the process. The
+// forgeries keep every record the same length, so the rest of the
+// package parses exactly as written and only the requant check can
+// reject them.
+TEST(SerializeForged, HostileRequantParamsFailClosed) {
+  const compile::CompiledModel model = compile_small(nb201::Genotype::from_index(888));
+  const std::vector<std::byte> baseline = serialize::save_model_bytes(model);
+  const serialize::SectionInfo grph = section_named(baseline, "GRPH");
+  const std::span<const std::byte> payload =
+      std::span<const std::byte>(baseline).subspan(grph.offset, grph.size);
+  const std::size_t at =
+      grph.offset + first_node_fields(payload, {ir::OpKind::kQConv2d}).mantissa_count;
+  serialize::ByteReader counts(std::span<const std::byte>(baseline).subspan(at, 4), "count");
+  const std::uint32_t n = counts.u32();  // one pair per output channel
+  ASSERT_GE(n, 2U);
+  const std::size_t shift_count_at = at + 4 + 4 * static_cast<std::size_t>(n);
+  const std::size_t shifts_at = shift_count_at + 4;
+
+  auto expect_rejected = [](std::vector<std::byte> forged, const std::string& what) {
+    reforge_checksums(forged);
+    try {
+      serialize::load_model_bytes(forged);
+      ADD_FAILURE() << what << ": forged package loaded";
+    } catch (const SerializeError& e) {
+      EXPECT_NE(std::string(e.what()).find("requant"), std::string::npos)
+          << what << ": rejected for another reason: " << e.what();
+    }
+  };
+
+  {  // mantissa list cut to one entry; the shift list absorbs the rest
+    std::vector<std::byte> forged = baseline;
+    poke_le(forged, at, 1, 4);
+    poke_le(forged, at + 8, 2 * n - 1, 4);
+    expect_rejected(forged, "one mantissa");
+  }
+  {  // shift list cut to one entry; the mantissa list absorbs the rest
+    std::vector<std::byte> forged = baseline;
+    poke_le(forged, at, 2 * n - 1, 4);
+    poke_le(forged, at + 8 * static_cast<std::size_t>(n), 1, 4);
+    expect_rejected(forged, "one shift");
+  }
+  for (const std::int32_t shift : {40, -40, 32, -32}) {
+    std::vector<std::byte> forged = baseline;
+    poke_le(forged, shifts_at, static_cast<std::uint32_t>(shift), 4);
+    expect_rejected(forged, "shift " + std::to_string(shift));
+  }
+  for (const std::int32_t mantissa : {0, -5, INT32_MIN}) {
+    std::vector<std::byte> forged = baseline;
+    poke_le(forged, at + 4, static_cast<std::uint32_t>(mantissa), 4);
+    expect_rejected(forged, "mantissa " + std::to_string(mantissa));
+  }
+
+  // The same checks guard a graph handed straight to an Executor.
+  compile::CompiledModel edited = serialize::load_model_bytes(baseline);
+  bool edited_any = false;
+  for (int id = 0; id < edited.graph.size(); ++id) {
+    ir::Node& node = edited.graph.node(id);
+    if (node.op != ir::OpKind::kQAdd) continue;
+    node.quant.shift2 = -40;
+    edited_any = true;
+  }
+  ASSERT_TRUE(edited_any) << "genotype 888 has no qadd node";
+  EXPECT_THROW(rt::Executor(edited.graph, edited.plan), std::invalid_argument);
 }
 
 TEST(SerializeForged, HostileArenaDemandFailsClosed) {
